@@ -60,5 +60,4 @@ from .evaluate import (  # noqa: F401
     log_denominator_plugin,
     log_numerator,
     plugin_estimates,
-    posterior_odds,
 )

@@ -7,21 +7,25 @@ trace's density over posterior draws of those parameters.  The numerator is
 the same for both: the posterior-predictive density of the trace given the
 control sample from the specific source.
 
-Monte Carlo averages run over a whole DrawSet at once (batched Cholesky
-over the stacked covariance draws), and their standard errors are
-ESS-adjusted on the log scale via the delta method.  Numerator and
-denominator chains live on disjoint RNG streams, so the combined
-uncertainty of a log Bayes factor is a simple quadrature sum.
+Every trace density, numerator and both denominators alike, comes from
+the one shared-effect kernel :func:`specsource.stats.compound_logpdf`,
+evaluated in the trace's sufficient statistics for a whole DrawSet at once
+(two batched k x k Cholesky factorizations per draw, whatever the number of
+trace fragments).  Monte Carlo standard errors are ESS-adjusted on the log
+scale via the delta method.  Numerator and denominator chains live on
+disjoint RNG streams, so the combined uncertainty of a log Bayes factor is
+a simple quadrature sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .errors import DataError, DegenerateChainError, NumericalError
+from .errors import DataError, DegenerateChainError
 from .evidence import EvidenceSet
 from .gibbs import (
     DEFENSE,
@@ -34,7 +38,7 @@ from .gibbs import (
     gibbs_alternative,
     gibbs_specific,
 )
-from .stats import LOG_2PI, SpdMatrix, as_vector, compound_logpdf, log_mean_exp
+from .stats import SpdMatrix, as_vector, compound_logpdf, log_mean_exp
 
 __all__ = [
     "AltPlugInEstimate",
@@ -48,7 +52,6 @@ __all__ = [
     "log_denominator_plugin",
     "log_numerator",
     "plugin_estimates",
-    "posterior_odds",
 ]
 
 #: Eigenvalue floor used when repairing a non-PD moment estimate.
@@ -165,32 +168,6 @@ def _trace_matrix(e_u) -> np.ndarray:
     return pts
 
 
-def _stacked_mvn_logpdf(points: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """Sum of MVN log-densities of ``points`` rows under each (mean, cov) draw.
-
-    points: (m, k); means: (T, k); covs: (T, k, k).  Returns (T,).
-    """
-    m, k = points.shape
-    try:
-        lowers = np.linalg.cholesky(covs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("covariance draw is not positive definite") from exc
-    diffs = points[None, :, :] - means[:, None, :]          # (T, m, k)
-    z = np.linalg.solve(lowers, diffs.transpose(0, 2, 1))   # (T, k, m)
-    quads = np.einsum("tkm,tkm->t", z, z)
-    logdets = 2.0 * np.sum(np.log(np.diagonal(lowers, axis1=1, axis2=2)), axis=1)
-    return -0.5 * (m * k * LOG_2PI + m * logdets + quads)
-
-
-def _compound_covs(betweens: np.ndarray, withins: np.ndarray, m: int) -> np.ndarray:
-    """Stacked (T, m*k, m*k) shared-effect covariances from (T, k, k) pairs."""
-    t, k, _ = betweens.shape
-    blocks = np.broadcast_to(betweens[:, None, None, :, :], (t, m, m, k, k)).copy()
-    idx = np.arange(m)
-    blocks[:, idx, idx, :, :] += withins[:, None, :, :]
-    return blocks.transpose(0, 1, 3, 2, 4).reshape(t, m * k, m * k)
-
-
 def _mc_se_of_log_mean(values: np.ndarray, chain_slices) -> float:
     """Delta-method standard error of log-mean-exp over correlated draws."""
     peak = float(np.max(values))
@@ -227,7 +204,7 @@ def log_numerator(e_u, draws: DrawSet) -> LogDensityEstimate:
         raise DataError(
             f"trace dimension {points.shape[1]} does not match draws ({draws.dim})"
         )
-    values = _stacked_mvn_logpdf(points, draws.means, draws.cov("sigma_s"))
+    values = compound_logpdf(points, draws.means, None, draws.cov("sigma_s"))
     log_value = log_mean_exp(values)
     mc_se = _mc_se_of_log_mean(values, draws.chain_slices())
     if log_value == -np.inf:
@@ -256,15 +233,13 @@ def log_denominator_full(e_u, draws: DrawSet) -> LogDensityEstimate:
     if draws.model != DEFENSE:
         raise ValueError(f"expected a {DEFENSE} DrawSet, got {draws.model!r}")
     points = _trace_matrix(e_u)
-    m, k = points.shape
+    k = points.shape[1]
     if k != draws.dim:
         raise DataError(
             f"trace dimension {k} does not match draws ({draws.dim})"
         )
-    covs = _compound_covs(draws.cov("sigma_b"), draws.cov("sigma_w"), m)
-    stacked_means = np.tile(draws.means, (1, m))
-    values = _stacked_mvn_logpdf(
-        points.reshape(1, m * k), stacked_means, covs
+    values = compound_logpdf(
+        points, draws.means, draws.cov("sigma_b"), draws.cov("sigma_w")
     )
     log_value = log_mean_exp(values)
     mc_se = _mc_se_of_log_mean(values, draws.chain_slices())
@@ -337,10 +312,10 @@ class BayesFactorReport:
     full_mc_se: float
     full_draws: int
     log_v_plugin: float
-    log_v_full: float
     v_plugin: float
-    v_full: float
     mc_se_log_v_plugin: float
+    log_v_full: float
+    v_full: float
     mc_se_log_v_full: float
     seed: int
     config_hash: str
@@ -348,29 +323,10 @@ class BayesFactorReport:
     notes: tuple[str, ...] = ()
 
     def fields(self) -> dict:
-        """Flat field view in a fixed, report-friendly order."""
-        return {
-            "scenario": self.scenario,
-            "hypothesis_prosecution": self.hypothesis_prosecution,
-            "hypothesis_defense": self.hypothesis_defense,
-            "log_numerator": self.log_numerator,
-            "numerator_mc_se": self.numerator_mc_se,
-            "numerator_draws": self.numerator_draws,
-            "log_denominator_plugin": self.log_denominator_plugin,
-            "log_denominator_full": self.log_denominator_full,
-            "full_mc_se": self.full_mc_se,
-            "full_draws": self.full_draws,
-            "log_v_plugin": self.log_v_plugin,
-            "v_plugin": self.v_plugin,
-            "mc_se_log_v_plugin": self.mc_se_log_v_plugin,
-            "log_v_full": self.log_v_full,
-            "v_full": self.v_full,
-            "mc_se_log_v_full": self.mc_se_log_v_full,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "tool_version": self.tool_version,
-            "notes": list(self.notes),
-        }
+        """Flat field view in declaration order, which is the report order."""
+        view = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        view["notes"] = list(self.notes)
+        return view
 
 
 def assemble_report(
@@ -417,17 +373,6 @@ def assemble_report(
     )
 
 
-def posterior_odds(prior_odds: float, v: float) -> float:
-    """Posterior odds of the prosecution hypothesis: Bayes factor times prior odds."""
-    prior_odds = float(prior_odds)
-    v = float(v)
-    if not (np.isfinite(prior_odds) and np.isfinite(v)):
-        raise ValueError("inputs must be finite")
-    if prior_odds < 0 or v < 0:
-        raise ValueError("inputs must be nonnegative")
-    return prior_odds * v
-
-
 @dataclass(frozen=True)
 class ScenarioEvaluation:
     report: BayesFactorReport
@@ -447,16 +392,18 @@ def evaluate_scenario(
 ) -> ScenarioEvaluation:
     """Run the whole pipeline on one evidence triple.
 
-    Samples both posteriors (disjoint streams of ``settings.seed``),
-    computes all three density estimates, and packs the report.
+    Computes the plug-in estimates first, so data the plug-in route rejects
+    (unbalanced groups) fail before any sampling; then samples both
+    posteriors (disjoint streams of ``settings.seed``), computes all three
+    density estimates, and packs the report.
     """
     controls = evidence.specific_matrix()
     groups = [g for _, g in evidence.alternative_groups()]
     trace = evidence.trace_matrix()
 
+    estimate = plugin_estimates(groups)
     prosecution = gibbs_specific(controls, specific_prior, settings)
     defense = gibbs_alternative(groups, alternative_prior, settings)
-    estimate = plugin_estimates(groups)
 
     numerator = log_numerator(trace, prosecution)
     den_plugin = log_denominator_plugin(trace, estimate)

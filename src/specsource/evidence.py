@@ -16,7 +16,6 @@ write/reload round trip is exact.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,12 +209,6 @@ def write_dataset(dataset: GroupedDataset, stream) -> None:
     writer.writerow(["source", "fragment", *dataset.feature_names])
     for f in dataset.fragments:
         writer.writerow([f.source_id, f.index, *(f"{v:.17g}" for v in f.features)])
-
-
-def dataset_to_text(dataset: GroupedDataset) -> str:
-    buf = io.StringIO()
-    write_dataset(dataset, buf)
-    return buf.getvalue()
 
 
 @dataclass(frozen=True)

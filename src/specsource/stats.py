@@ -44,9 +44,6 @@ def _trtrs(a: np.ndarray, b: np.ndarray, lower: int = 1, trans: int = 0):
 #: Relative asymmetry tolerated before a matrix is rejected as non-symmetric.
 SYMMETRY_RTOL = 1e-12
 
-#: Default cap on the stacked dimension m*k of the shared-effect density.
-COMPOUND_DIM_CAP = 512
-
 
 def as_vector(x, *, dim: int | None = None, name: str = "vector") -> np.ndarray:
     """Validate and return ``x`` as a finite 1-d float array of length >= 1."""
@@ -253,41 +250,91 @@ def sample_inverse_wishart(phi, nu: float, rng: RngStream) -> SpdMatrix:
     return SpdMatrix(_invwishart_from_chol(spd.chol, nu, rng.generator))
 
 
-def compound_logpdf(
-    y,
-    mu_a,
-    sigma_b,
-    sigma_w,
-    *,
-    max_dim: int = COMPOUND_DIM_CAP,
-) -> float:
+def _batched_chol(covs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError as exc:
+        raise NotSpdError(
+            "Cholesky factorization failed: covariance is not positive definite"
+        ) from exc
+
+
+def _forward_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``lower @ x = rhs`` for a (T, k, k) stack of lower-triangular factors.
+
+    Forward substitution row by row, each step vectorized over the stack;
+    ``rhs`` is (T, k, r) or a shared (k, r).  Returns (T, k, r).
+    """
+    x = np.empty(lower.shape[:1] + rhs.shape[-2:])
+    x[:] = rhs
+    for i in range(lower.shape[-1]):
+        if i:
+            x[:, i] -= np.einsum("tj,tjr->tr", lower[:, i, :i], x[:, :i])
+        x[:, i] /= lower[:, i, i, None]
+    return x
+
+
+def compound_logpdf(y, mu_a, sigma_b, sigma_w) -> float | np.ndarray:
     """Joint log-density of ``m`` measurement vectors sharing one source effect.
 
     Rows of ``y`` are exchangeable draws ``y_j = mu_a + a + w_j`` with a
     common ``a ~ MVN(0, sigma_b)`` and independent ``w_j ~ MVN(0, sigma_w)``.
-    Marginally the stacked vector is MVN with mean ``(mu_a, ..., mu_a)`` and
-    a block covariance holding ``sigma_b + sigma_w`` on the diagonal blocks
-    and ``sigma_b`` off the diagonal.  Assembled and factored as a dense
-    ``m*k`` system, which is why the size cap exists.
+    The density depends on the rows only through their mean ``ybar`` and
+    within scatter ``S = sum_j (y_j - ybar)(y_j - ybar)^T`` (Lindley 1977):
+
+        log p(Y) = -1/2 [m k log 2pi + (m-1) log|Sw| + log|Sw + m Sb|
+                         + tr(Sw^-1 S) + m (ybar-mu)^T (Sw + m Sb)^-1 (ybar-mu)]
+
+    so each parameter set costs two k x k Cholesky factorizations whatever
+    ``m`` is, and the number of rows has no cap.  ``sigma_b=None`` drops the
+    shared effect: the rows are then iid MVN(mu_a, sigma_w) and
+    ``Sw + m Sb`` reduces to ``Sw``.
+
+    One parameter set (``mu_a`` of shape (k,), covariances (k, k) or
+    :class:`SpdMatrix`) gives a float; a stack of T sets ((T, k) means and
+    (T, k, k) covariances) gives shape (T,).  Rows are put in lexicographic
+    order before any reduction, so the value is bit-identical under every
+    permutation of the rows.  A covariance without a Cholesky factor raises
+    :class:`NotSpdError`.
     """
-    b = _as_spd(sigma_b, name="sigma_b")
-    w = _as_spd(sigma_w, name="sigma_w")
-    k = w.dim
-    if b.dim != k:
-        raise ValueError(f"sigma_b is {b.dim}x{b.dim} but sigma_w is {k}x{k}")
-    mu_a = as_vector(mu_a, dim=k, name="mu_a")
+    single = np.ndim(sigma_w) < 3
+    if single:
+        w = _as_spd(sigma_w, name="sigma_w").values[None]
+        b = None if sigma_b is None else _as_spd(sigma_b, name="sigma_b").values[None]
+        means = as_vector(mu_a, dim=w.shape[-1], name="mu_a")[None]
+    else:
+        w = np.asarray(sigma_w, dtype=float)
+        b = None if sigma_b is None else np.asarray(sigma_b, dtype=float)
+        means = np.asarray(mu_a, dtype=float)
+    t, k = w.shape[0], w.shape[-1]
+    if b is not None and b.shape != w.shape:
+        raise ValueError(f"sigma_b has shape {b.shape} but sigma_w has {w.shape}")
+    if w.shape != (t, k, k) or means.shape != (t, k):
+        raise ValueError(
+            f"expected (T, {k}) means and (T, {k}, {k}) covariances, "
+            f"got {means.shape} and {w.shape}"
+        )
     pts = np.atleast_2d(np.asarray(y, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != k:
         raise ValueError(f"y must have shape (m, {k}), got {pts.shape}")
     m = pts.shape[0]
     if m < 1:
         raise ValueError("need at least one measurement vector")
-    if m * k > max_dim:
-        raise ValueError(
-            f"structure too large: stacked dimension {m * k} exceeds cap {max_dim}"
-        )
-    cov = np.kron(np.eye(m), w.values) + np.kron(np.ones((m, m)), b.values)
-    return float(mvn_logpdf(pts.reshape(-1), np.tile(mu_a, m), SpdMatrix(cov)))
+
+    pts = pts[np.lexsort(pts.T[::-1])]
+    ybar = pts.mean(axis=0)
+    dev = pts - ybar
+    lower_w = _batched_chol(w)
+    lower_t = lower_w if b is None else _batched_chol(w + m * b)
+    z = _forward_solve(lower_t, (ybar - means)[:, :, None])
+    out = m * np.sum(z * z, axis=(1, 2))
+    if m > 1:
+        inv_w = _forward_solve(lower_w, np.eye(k))
+        out += np.sum((inv_w @ (dev.T @ dev)) * inv_w, axis=(1, 2))
+    out += 2.0 * (m - 1) * np.sum(np.log(np.diagonal(lower_w, axis1=1, axis2=2)), axis=1)
+    out += 2.0 * np.sum(np.log(np.diagonal(lower_t, axis1=1, axis2=2)), axis=1)
+    out = -0.5 * (m * k * LOG_2PI + out)
+    return float(out[0]) if single else out
 
 
 def log_mean_exp(values) -> float:

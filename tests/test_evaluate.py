@@ -2,21 +2,24 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import specsource.evaluate as evaluate_module
 from specsource.errors import DataError
 from specsource.evaluate import (
     LogDensityEstimate,
     ReportProvenance,
     assemble_report,
     closed_form_predictive_known_cov,
+    evaluate_scenario,
     log_denominator_full,
     log_denominator_plugin,
     log_numerator,
     plugin_estimates,
-    posterior_odds,
 )
+from specsource.evidence import EvidenceSet, Fragment
 from specsource.gibbs import (
     DEFENSE,
     PROSECUTION,
+    AlternativePrior,
     DrawSet,
     McmcSettings,
     SpecificPrior,
@@ -211,6 +214,45 @@ class TestLogDenominatorFull:
         est = log_denominator_full(trace, draws)
         assert est.log_value == pytest.approx(expected, abs=1e-10)
 
+    def test_long_trace_is_finite(self, np_rng):
+        t, k = 30, 3
+        settings = McmcSettings(iterations=t + 1, burn_in=1, seed=5)
+        means = np_rng.normal(size=(t, k))
+        sbs = np.stack([random_spd(np_rng, k).values for _ in range(t)])
+        sws = np.stack([random_spd(np_rng, k).values for _ in range(t)])
+        draws = DrawSet(DEFENSE, means, {"sigma_b": sbs, "sigma_w": sws}, settings)
+        trace = np_rng.normal(size=(200, k))
+        est = log_denominator_full(trace, draws)
+        assert np.isfinite(est.log_value)
+        assert np.isfinite(est.mc_se)
+
+
+class TestEvaluateScenario:
+    def test_unbalanced_fails_before_sampling(self, np_rng, monkeypatch):
+        def sampler_called(*args, **kwargs):
+            raise AssertionError("sampler ran before the balance check")
+
+        monkeypatch.setattr(evaluate_module, "gibbs_specific", sampler_called)
+        monkeypatch.setattr(evaluate_module, "gibbs_alternative", sampler_called)
+
+        def frags(source, count):
+            return tuple(
+                Fragment(source, i + 1, np_rng.normal(size=3)) for i in range(count)
+            )
+
+        evidence = EvidenceSet(
+            e_u=frags("u", 2),
+            e_s=frags("s", 3),
+            e_a=frags("a1", 5) + frags("a2", 4) + frags("a3", 5),
+        )
+        with pytest.raises(DataError, match="plug-in path requires balance"):
+            evaluate_scenario(
+                evidence,
+                SpecificPrior.glass_default(),
+                AlternativePrior.glass_default(),
+                McmcSettings(iterations=20, burn_in=10, seed=1),
+            )
+
 
 class TestClosedFormPredictive:
     def test_univariate_conjugate_value(self):
@@ -313,18 +355,3 @@ class TestAssembleReport:
         full = LogDensityEstimate(1.0, 0.0, 1, 2)
         with pytest.raises(ValueError, match="labels"):
             assemble_report(num, plug, full, self.provenance())
-
-
-class TestPosteriorOdds:
-    def test_unit_prior_odds(self):
-        assert posterior_odds(1.0, 205.4931) == 205.4931
-
-    def test_zero_prior_odds(self):
-        assert posterior_odds(0.0, 123.4) == 0.0
-
-    def test_scales_linearly(self):
-        assert posterior_odds(2.0, 0.0160665) == pytest.approx(0.0321330)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            posterior_odds(-1.0, 2.0)

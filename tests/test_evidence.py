@@ -11,9 +11,9 @@ from specsource.evidence import (
     Fragment,
     ScenarioSpec,
     build_scenario,
-    dataset_to_text,
     load_dataset,
     validate_evidence,
+    write_dataset,
 )
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -84,12 +84,15 @@ class TestLoadDataset:
         assert glass.dim == 3
 
     def test_round_trip_is_exact(self, glass):
-        text = dataset_to_text(glass)
-        again = load_dataset(io.StringIO(text))
+        first = io.StringIO()
+        write_dataset(glass, first)
+        again = load_dataset(io.StringIO(first.getvalue()))
         for f, g in zip(glass.fragments, again.fragments):
             assert f.key == g.key
             assert np.array_equal(f.features, g.features)
-        assert dataset_to_text(again) == text
+        second = io.StringIO()
+        write_dataset(again, second)
+        assert second.getvalue() == first.getvalue()
 
 
 class TestBuildScenario:

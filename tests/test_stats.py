@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import multivariate_normal
 
-from specsource.errors import NotSpdError
+from specsource.errors import NotSpdError, NumericalError
 from specsource.stats import (
     RngStream,
     SpdMatrix,
@@ -222,14 +223,27 @@ class TestCompoundLogpdf:
         sb = random_spd(np_rng, 2)
         sw = random_spd(np_rng, 2)
         mu = np.zeros(2)
-        y = np_rng.standard_normal((4, 2))
-        perm = np_rng.permutation(4)
-        assert compound_logpdf(y, mu, sb, sw) == compound_logpdf(y[perm], mu, sb, sw)
+        for m in (4, 40):
+            y = np_rng.standard_normal((m, 2))
+            perm = np_rng.permutation(m)
+            assert compound_logpdf(y, mu, sb, sw) == compound_logpdf(y[perm], mu, sb, sw)
 
-    def test_size_cap(self):
-        y = np.zeros((200, 3))
-        with pytest.raises(ValueError, match="structure too large"):
-            compound_logpdf(y, np.zeros(3), np.eye(3), np.eye(3))
+    def test_long_trace_matches_dense(self, np_rng):
+        # oracle: the stacked m*k vector is MVN with block covariance
+        # kron(ones(m, m), sb) + kron(eye(m), sw)
+        m, k = 200, 3
+        sb = random_spd(np_rng, k, scale=0.5)
+        sw = random_spd(np_rng, k, scale=0.3)
+        mu = np_rng.standard_normal(k)
+        y = mu + np_rng.standard_normal((m, k))
+        cov = np.kron(np.ones((m, m)), sb.values) + np.kron(np.eye(m), sw.values)
+        dense = multivariate_normal(np.tile(mu, m), cov).logpdf(y.ravel())
+        assert compound_logpdf(y, mu, sb, sw) == pytest.approx(dense, rel=1e-10)
+
+    def test_non_spd_draw_raises_numerical_error(self, np_rng):
+        sws = np.stack([np.eye(2), -np.eye(2)])
+        with pytest.raises(NumericalError):
+            compound_logpdf(np.zeros((3, 2)), np.zeros((2, 2)), sws, sws)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
