@@ -28,7 +28,6 @@ from .stats import (  # noqa: F401
     sample_mvn,
 )
 from .evidence import (  # noqa: F401
-    ColumnSchema,
     EvidenceSet,
     Fragment,
     GroupedDataset,

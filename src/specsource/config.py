@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,22 @@ def _require(mapping, key, where, kind=None):
     return value
 
 
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _number(value, kind, where: str):
+    """Convert one numeric config entry with ``kind`` (int, float or _floats).
+
+    Every numeric entry passes through here, so a value that does not
+    convert is a :class:`ConfigError` naming its key.
+    """
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be numeric, got {value!r}") from None
+
+
 def _parse_matrix(node, dim: int, where: str) -> SpdMatrix:
     """Accept {diagonal: scalar|list} or {matrix: [[...], ...]}."""
     if isinstance(node, (int, float)):
@@ -51,12 +67,12 @@ def _parse_matrix(node, dim: int, where: str) -> SpdMatrix:
         diag = node["diagonal"]
         if isinstance(diag, (int, float)):
             return SpdMatrix.diagonal(float(diag), dim=dim)
-        diag = [float(v) for v in diag]
-        if len(diag) != dim:
+        diag = _number(diag, _floats, f"{where}.diagonal")
+        if diag.shape != (dim,):
             raise ConfigError(f"{where}.diagonal must have length {dim}")
         return SpdMatrix.diagonal(diag)
     if "matrix" in node:
-        arr = np.asarray(node["matrix"], dtype=float)
+        arr = _number(node["matrix"], _floats, f"{where}.matrix")
         if arr.shape != (dim, dim):
             raise ConfigError(f"{where}.matrix must be {dim}x{dim}")
         return SpdMatrix(arr)
@@ -64,7 +80,7 @@ def _parse_matrix(node, dim: int, where: str) -> SpdMatrix:
 
 
 def _parse_vector(node, dim: int, where: str) -> np.ndarray:
-    arr = np.asarray(node, dtype=float)
+    arr = _number(node, _floats, where)
     if arr.shape != (dim,):
         raise ConfigError(f"{where} must be a vector of length {dim}")
     return arr
@@ -73,7 +89,8 @@ def _parse_vector(node, dim: int, where: str) -> np.ndarray:
 def _parse_scenario(node) -> ScenarioSpec:
     specific = str(_require(node, "specific_source", "scenario"))
     fragments = tuple(
-        int(i) for i in _require(node, "specific_fragments", "scenario", list)
+        _number(i, int, "scenario.specific_fragments")
+        for i in _require(node, "specific_fragments", "scenario", list)
     )
     trace_source = None
     trace_fragments = None
@@ -84,7 +101,10 @@ def _parse_scenario(node) -> ScenarioSpec:
         if "source" in trace and trace["source"] is not None:
             trace_source = str(trace["source"])
         if trace.get("fragments") is not None:
-            trace_fragments = tuple(int(i) for i in trace["fragments"])
+            trace_fragments = tuple(
+                _number(i, int, "scenario.trace.fragments")
+                for i in _require(trace, "fragments", "scenario.trace", list)
+            )
     excluded = tuple(str(s) for s in node.get("exclude_sources", []) or [])
     try:
         return ScenarioSpec(
@@ -106,11 +126,11 @@ def _parse_mcmc(node, seed: int) -> McmcSettings:
     if "seed" in node:
         raise ConfigError("set the top-level 'seed' key, not mcmc.seed")
     return McmcSettings(
-        iterations=int(node.get("iterations", 30000)),
-        burn_in=int(node.get("burn_in", 1000)),
-        thin=int(node.get("thin", 1)),
+        iterations=_number(node.get("iterations", 30000), int, "mcmc.iterations"),
+        burn_in=_number(node.get("burn_in", 1000), int, "mcmc.burn_in"),
+        thin=_number(node.get("thin", 1), int, "mcmc.thin"),
         seed=seed,
-        chains=int(node.get("chains", 1)),
+        chains=_number(node.get("chains", 1), int, "mcmc.chains"),
     )
 
 
@@ -128,7 +148,7 @@ def _parse_specific_prior(node) -> SpecificPrior | None:
         cov_scale=_parse_matrix(
             _require(node, "scale", "specific_prior"), k, "specific_prior.scale"
         ),
-        cov_df=float(_require(node, "df", "specific_prior")),
+        cov_df=_number(_require(node, "df", "specific_prior"), float, "specific_prior.df"),
     )
 
 
@@ -150,13 +170,17 @@ def _parse_alternative_prior(node) -> AlternativePrior | None:
             k,
             "alternative_prior.between_scale",
         ),
-        between_df=float(_require(node, "between_df", "alternative_prior")),
+        between_df=_number(
+            _require(node, "between_df", "alternative_prior"), float, "alternative_prior.between_df"
+        ),
         within_scale=_parse_matrix(
             _require(node, "within_scale", "alternative_prior"),
             k,
             "alternative_prior.within_scale",
         ),
-        within_df=float(_require(node, "within_df", "alternative_prior")),
+        within_df=_number(
+            _require(node, "within_df", "alternative_prior"), float, "alternative_prior.within_df"
+        ),
     )
 
 
@@ -169,23 +193,29 @@ class StudyConfig:
 
 
 def _parse_study(node) -> StudyConfig:
-    grid = tuple(int(n) for n in _require(node, "grid", "study", list))
-    replicates = int(node.get("replicates", 20))
-    design_node = node.get("design") or {}
-    base = default_study_design()
-    design = DesignSpec(
-        n_sources=int(design_node.get("n_sources", base.n_sources)),
-        fragments_per_source=int(
-            design_node.get("fragments_per_source", base.fragments_per_source)
-        ),
-        n_specific=int(design_node.get("n_specific", base.n_specific)),
-        n_trace=int(design_node.get("n_trace", base.n_trace)),
+    grid = tuple(
+        _number(n, int, "study.grid") for n in _require(node, "grid", "study", list)
     )
+    replicates = _number(node.get("replicates", 20), int, "study.replicates")
+    design_node = node.get("design") or {}
+    if "n_sources" in design_node:
+        raise ConfigError(
+            "study.design.n_sources is not a setting: "
+            "study.grid sets the population sizes"
+        )
+    base = default_study_design()
+    counts = {
+        name: _number(design_node.get(name, getattr(base, name)), int, f"study.design.{name}")
+        for name in ("fragments_per_source", "n_specific", "n_trace")
+    }
+    design = replace(base, **counts)
     params_node = node.get("params")
     if params_node is None:
         params = default_study_params()
     else:
-        k = int(_require(params_node, "dimension", "study.params"))
+        k = _number(
+            _require(params_node, "dimension", "study.params"), int, "study.params.dimension"
+        )
         params = TrueParams(
             mu_s=_parse_vector(params_node.get("mu_s", [0.0] * k), k, "study.params.mu_s"),
             sigma_s=_parse_matrix(
@@ -248,7 +278,7 @@ def load_run_config(
     base_dir = path.parent
     if seed_override is not None:
         raw["seed"] = int(seed_override)
-    seed = int(raw.get("seed", 0))
+    seed = _number(raw.get("seed", 0), int, "seed")
     if output_override is not None:
         raw["output"] = str(output_override)
 

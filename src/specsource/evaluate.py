@@ -44,7 +44,6 @@ __all__ = [
     "AltPlugInEstimate",
     "BayesFactorReport",
     "LogDensityEstimate",
-    "ReportProvenance",
     "assemble_report",
     "closed_form_predictive_known_cov",
     "evaluate_scenario",
@@ -137,25 +136,20 @@ class LogDensityEstimate:
     """A log-density value with its Monte Carlo uncertainty.
 
     ``mc_se`` is zero for deterministic (plug-in) evaluations.  When every
-    Monte Carlo term underflowed to -inf the value is -inf and ``underflow``
-    is set.
+    Monte Carlo term underflowed to -inf the value is -inf and ``mc_se`` is
+    infinite.
     """
 
     log_value: float
     mc_se: float
     draws: int
     dim: int
-    label: str = ""
 
     def __post_init__(self):
         if np.isnan(self.log_value) or self.log_value == np.inf:
             raise ValueError("log_value must be finite or -inf")
         if not self.mc_se >= 0:
             raise ValueError("mc_se must be nonnegative")
-
-    @property
-    def underflow(self) -> bool:
-        return self.log_value == -np.inf
 
 
 def _trace_matrix(e_u) -> np.ndarray:
@@ -276,17 +270,6 @@ def closed_form_predictive_known_cov(e_u, e_s, mu0, lambda0, sigma) -> float:
 
 
 @dataclass(frozen=True)
-class ReportProvenance:
-    scenario: str
-    hypothesis_prosecution: str
-    hypothesis_defense: str
-    seed: int
-    config_hash: str = ""
-    tool_version: str = __version__
-    notes: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class BayesFactorReport:
     """Both factored forms of the value of evidence, with uncertainty.
 
@@ -333,26 +316,29 @@ def assemble_report(
     numerator: LogDensityEstimate,
     den_plugin: LogDensityEstimate,
     den_full: LogDensityEstimate,
-    provenance: ReportProvenance,
+    *,
+    scenario: str,
+    hypothesis_prosecution: str,
+    hypothesis_defense: str,
+    seed: int,
+    config_hash: str = "",
+    notes: tuple[str, ...] = (),
 ) -> BayesFactorReport:
-    """Combine the three estimates into one report.
+    """Combine the three estimates and the run's provenance into one report.
 
     The three estimates must agree on the feature dimension (a cheap guard
-    against mixing scenarios).
+    against mixing scenarios).  The report records this package's version.
     """
     dims = {numerator.dim, den_plugin.dim, den_full.dim}
     if len(dims) != 1:
         raise ValueError(f"estimates disagree on dimension: {sorted(dims)}")
-    labels = {e.label for e in (numerator, den_plugin, den_full) if e.label}
-    if len(labels) > 1:
-        raise ValueError(f"estimates carry conflicting scenario labels: {sorted(labels)}")
 
     log_v_plugin = numerator.log_value - den_plugin.log_value
     log_v_full = numerator.log_value - den_full.log_value
     return BayesFactorReport(
-        scenario=provenance.scenario,
-        hypothesis_prosecution=provenance.hypothesis_prosecution,
-        hypothesis_defense=provenance.hypothesis_defense,
+        scenario=scenario,
+        hypothesis_prosecution=hypothesis_prosecution,
+        hypothesis_defense=hypothesis_defense,
         log_numerator=numerator.log_value,
         numerator_mc_se=numerator.mc_se,
         numerator_draws=numerator.draws,
@@ -366,10 +352,10 @@ def assemble_report(
         v_full=float(np.exp(log_v_full)),
         mc_se_log_v_plugin=float(np.hypot(numerator.mc_se, den_plugin.mc_se)),
         mc_se_log_v_full=float(np.hypot(numerator.mc_se, den_full.mc_se)),
-        seed=provenance.seed,
-        config_hash=provenance.config_hash,
-        tool_version=provenance.tool_version,
-        notes=provenance.notes,
+        seed=seed,
+        config_hash=config_hash,
+        tool_version=__version__,
+        notes=notes,
     )
 
 
@@ -416,7 +402,10 @@ def evaluate_scenario(
             "plug-in moment estimate repaired: eigenvalue floor applied "
             f"(smallest raw eigenvalue {estimate.min_eigenvalue:.6e})"
         )
-    provenance = ReportProvenance(
+    report = assemble_report(
+        numerator,
+        den_plugin,
+        den_full,
         scenario=scenario,
         hypothesis_prosecution=(
             f"The trace originated from the specific source {specific_id!r}."
@@ -429,5 +418,4 @@ def evaluate_scenario(
         config_hash=config_hash,
         notes=tuple(notes),
     )
-    report = assemble_report(numerator, den_plugin, den_full, provenance)
     return ScenarioEvaluation(report, prosecution, defense, estimate)

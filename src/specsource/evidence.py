@@ -16,14 +16,13 @@ write/reload round trip is exact.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 
 __all__ = [
-    "ColumnSchema",
     "EvidenceSet",
     "Fragment",
     "GroupedDataset",
@@ -65,22 +64,6 @@ def _stack(fragments: tuple[Fragment, ...]) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ColumnSchema:
-    """Column-name mapping for the interchange format.
-
-    ``log_transform`` applies an elementwise natural log to the feature
-    columns on load, for datasets that store raw ratios instead of the
-    log-ratios the models work in.  Off by default: the shipped fixture
-    already stores log-ratios.
-    """
-
-    source: str = "source"
-    fragment: str = "fragment"
-    features: tuple[str, ...] | None = None  # None: every remaining column
-    log_transform: bool = False
-
-
-@dataclass(frozen=True)
 class GroupedDataset:
     """Fragments grouped by source id, with a consistent feature dimension."""
 
@@ -91,37 +74,26 @@ class GroupedDataset:
     def dim(self) -> int:
         return len(self.feature_names)
 
-    @property
-    def source_ids(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for f in self.fragments:
-            seen.setdefault(f.source_id, None)
-        return tuple(seen)
-
     def group(self, source_id: str) -> tuple[Fragment, ...]:
         got = tuple(f for f in self.fragments if f.source_id == source_id)
         if not got:
             raise DataError(f"unknown source id {source_id!r}")
         return got
 
-    def group_sizes(self) -> dict[str, int]:
-        sizes: dict[str, int] = {}
-        for f in self.fragments:
-            sizes[f.source_id] = sizes.get(f.source_id, 0) + 1
-        return sizes
 
-
-def load_dataset(stream, schema: ColumnSchema = ColumnSchema()) -> GroupedDataset:
+def load_dataset(stream) -> GroupedDataset:
     """Parse the interchange CSV from a text stream (or path) into groups.
 
-    Row order is preserved within each source.  Raises :class:`DataError`
-    naming the offending row and column on any malformed cell, missing
-    column, inconsistent dimension, or duplicate (source, fragment) key.
+    The ``source`` and ``fragment`` columns key each row; every other column
+    is a feature.  Row order is preserved within each source.  Raises
+    :class:`DataError` naming the offending row and column on any malformed
+    cell, missing column, inconsistent dimension, or duplicate (source,
+    fragment) key.
     """
     if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
         try:
             with open(stream, "r", encoding="utf-8", newline="") as fh:
-                return load_dataset(fh, schema)
+                return load_dataset(fh)
         except OSError as exc:
             raise DataError(f"cannot read dataset {stream}: {exc}") from exc
 
@@ -132,23 +104,15 @@ def load_dataset(stream, schema: ColumnSchema = ColumnSchema()) -> GroupedDatase
         raise DataError("empty input: no header row") from None
     header = [h.strip() for h in header]
 
-    for required in (schema.source, schema.fragment):
+    for required in ("source", "fragment"):
         if required not in header:
             raise DataError(f"missing column {required!r} in header {header}")
-    if schema.features is None:
-        feature_names = tuple(
-            h for h in header if h not in (schema.source, schema.fragment)
-        )
-    else:
-        feature_names = tuple(schema.features)
-        for name in feature_names:
-            if name not in header:
-                raise DataError(f"missing feature column {name!r}")
+    feature_names = tuple(h for h in header if h not in ("source", "fragment"))
     if not feature_names:
         raise DataError("no feature columns found")
 
-    src_col = header.index(schema.source)
-    frag_col = header.index(schema.fragment)
+    src_col = header.index("source")
+    frag_col = header.index("fragment")
     feat_cols = [header.index(name) for name in feature_names]
 
     fragments: list[Fragment] = []
@@ -167,7 +131,7 @@ def load_dataset(stream, schema: ColumnSchema = ColumnSchema()) -> GroupedDatase
             index = int(row[frag_col])
         except ValueError:
             raise DataError(
-                f"row {row_no}, column {schema.fragment!r}: "
+                f"row {row_no}, column 'fragment': "
                 f"non-integer fragment index {row[frag_col]!r}"
             ) from None
         feats = np.empty(len(feat_cols))
@@ -181,13 +145,6 @@ def load_dataset(stream, schema: ColumnSchema = ColumnSchema()) -> GroupedDatase
                 ) from None
         if not np.all(np.isfinite(feats)):
             raise DataError(f"row {row_no}: non-finite feature value")
-        if schema.log_transform:
-            if np.any(feats <= 0):
-                bad = feature_names[int(np.argmax(feats <= 0))]
-                raise DataError(
-                    f"row {row_no}, column {bad!r}: log transform needs positive values"
-                )
-            feats = np.log(feats)
         key = (source_id, index)
         if key in seen:
             raise DataError(f"row {row_no}: duplicate (source, fragment) key {key}")
@@ -354,7 +311,6 @@ def build_scenario(dataset: GroupedDataset, spec: ScenarioSpec) -> EvidenceSet:
 @dataclass(frozen=True)
 class ValidationReport:
     violations: tuple[str, ...]
-    summary: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -371,8 +327,7 @@ def validate_evidence(evidence: EvidenceSet) -> ValidationReport:
         violations.append("e_s mixes multiple sources")
     if not evidence.e_u:
         violations.append("e_u is empty")
-    n_alt = evidence.alternative_source_count()
-    if n_alt < 2:
+    if evidence.alternative_source_count() < 2:
         violations.append("e_a needs >= 2 sources")
 
     dims = {f.features.size for f in (*evidence.e_u, *evidence.e_s, *evidence.e_a)}
@@ -383,13 +338,4 @@ def validate_evidence(evidence: EvidenceSet) -> ValidationReport:
     if len(keys) != len(set(keys)):
         violations.append("a fragment appears in more than one component")
 
-    summary = {}
-    for name, comp in (("e_u", evidence.e_u), ("e_s", evidence.e_s), ("e_a", evidence.e_a)):
-        entry = {"count": len(comp)}
-        if comp and len(dims) == 1:
-            entry["mean"] = _stack(comp).mean(axis=0).tolist()
-        if name == "e_a":
-            entry["sources"] = n_alt
-        summary[name] = entry
-
-    return ValidationReport(tuple(violations), summary)
+    return ValidationReport(tuple(violations))

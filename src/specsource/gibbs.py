@@ -33,15 +33,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.fft import next_fast_len
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import ConfigError, DataError, DegenerateChainError, NumericalError
-from .stats import (
-    RngStream,
-    SpdMatrix,
-    _invwishart_from_chol,
-    _trtrs,
-    as_vector,
-)
+from .stats import RngStream, SpdMatrix, as_vector, invwishart_from_chol
 
 __all__ = [
     "AlternativePrior",
@@ -241,7 +236,7 @@ def _chol(a: np.ndarray, what: str) -> np.ndarray:
 
 def _inv_spd(a: np.ndarray, what: str) -> np.ndarray:
     lower = _chol(a, what)
-    inv, info = _trtrs(lower, np.eye(a.shape[0]), lower=1)
+    inv, info = dtrtrs(lower, np.eye(a.shape[0]), lower=1)
     if info != 0:
         raise NumericalError(f"{what} is numerically singular")
     return inv.T @ inv
@@ -250,10 +245,10 @@ def _inv_spd(a: np.ndarray, what: str) -> np.ndarray:
 def _draw_mvn_from_precision(prec: np.ndarray, shift: np.ndarray, gen) -> np.ndarray:
     """Draw MVN(prec^-1 shift, prec^-1) from the precision-form conditional."""
     lower = _chol(prec, "conditional precision")
-    half, _ = _trtrs(lower, shift, lower=1)
-    mean, _ = _trtrs(lower, half, lower=1, trans=1)
+    half, _ = dtrtrs(lower, shift, lower=1)
+    mean, _ = dtrtrs(lower, half, lower=1, trans=1)
     z = gen.standard_normal(shift.size)
-    tail, _ = _trtrs(lower, z, lower=1, trans=1)
+    tail, _ = dtrtrs(lower, z, lower=1, trans=1)
     return mean + tail
 
 
@@ -263,21 +258,18 @@ def gibbs_specific(
     settings: McmcSettings,
     *,
     sigma_fixed: SpdMatrix | None = None,
-    allow_empty: bool = False,
 ) -> DrawSet:
     """Sample the specific-source posterior given control fragments ``y``.
 
     ``y`` is the (m, k) matrix of control measurements from the single
     specific source.  ``sigma_fixed`` freezes the covariance at a known
-    value (used by the analytic-oracle tests); ``allow_empty`` permits
-    m = 0, in which case the draws come from the prior.
+    value (used by the analytic-oracle tests).  With m = 0 the draws come
+    from the prior, which is proper.
     """
     y = np.atleast_2d(np.asarray(y, dtype=float)) if np.size(y) else np.empty((0, prior.dim))
     if y.ndim != 2 or (y.shape[0] and y.shape[1] != prior.dim):
         raise DataError(f"control sample must be (m, {prior.dim}), got {y.shape}")
     m = y.shape[0]
-    if m < 1 and not allow_empty:
-        raise DataError("specific-source sample is empty")
 
     k = prior.dim
     sum_y = y.sum(axis=0) if m else np.zeros(k)
@@ -304,7 +296,7 @@ def gibbs_specific(
                 if sigma_fixed is None:
                     resid = y - mu
                     chol_scale = _chol(prior_scale + resid.T @ resid, "posterior scale")
-                    sigma = _invwishart_from_chol(chol_scale, prior.cov_df + m, gen)
+                    sigma = invwishart_from_chol(chol_scale, prior.cov_df + m, gen)
             except NumericalError as exc:
                 raise NumericalError(f"iteration {it}: {exc}") from exc
             if it >= settings.burn_in and (it - settings.burn_in) % settings.thin == 0:
@@ -319,15 +311,13 @@ def gibbs_alternative(
     groups,
     prior: AlternativePrior,
     settings: McmcSettings,
-    *,
-    allow_empty: bool = False,
 ) -> DrawSet:
     """Sample the alternative-population posterior given grouped fragments.
 
     ``groups`` is a sequence of (m_i, k) arrays, one per source, in sorted
     source-id order.  Latent source effects are updated jointly (one batched
-    draw per sweep) but not retained.  ``allow_empty`` permits zero sources,
-    which turns the sampler into a prior sampler.
+    draw per sweep) but not retained.  Any number of sources is accepted,
+    since the priors are proper: with none the draws come from the prior.
     """
     k = prior.dim
     groups = [np.atleast_2d(np.asarray(g, dtype=float)) for g in groups]
@@ -337,8 +327,6 @@ def gibbs_alternative(
         if g.shape[0] < 1:
             raise DataError("every alternative source needs at least one fragment")
     n = len(groups)
-    if n < 2 and not allow_empty:
-        raise DataError(f"alternative population has {n} source(s); need at least 2")
 
     sizes = np.array([g.shape[0] for g in groups], dtype=int)
     total = int(sizes.sum())
@@ -387,9 +375,9 @@ def gibbs_alternative(
                         prec_i = b_prec + m_i * w_prec
                         lower_i = _chol(prec_i, "source-effect conditional precision")
                         rhs = m_i * (w_prec @ centered[rows].T)
-                        half, _ = _trtrs(lower_i, rhs, lower=1)
-                        cond_means, _ = _trtrs(lower_i, half, lower=1, trans=1)
-                        noise, _ = _trtrs(lower_i, z[rows].T, lower=1, trans=1)
+                        half, _ = dtrtrs(lower_i, rhs, lower=1)
+                        cond_means, _ = dtrtrs(lower_i, half, lower=1, trans=1)
+                        noise, _ = dtrtrs(lower_i, z[rows].T, lower=1, trans=1)
                         effects[rows] = (cond_means + noise).T
                 effect_total = sizes @ effects if n else np.zeros(k)
                 prec = lam0_prec + total * w_prec
@@ -398,10 +386,10 @@ def gibbs_alternative(
 
                 resid = stacked - mu - effects[group_index] if n else stacked
                 chol_w = _chol(scale_w0 + resid.T @ resid, "within posterior scale")
-                sigma_w = _invwishart_from_chol(chol_w, prior.within_df + total, gen)
+                sigma_w = invwishart_from_chol(chol_w, prior.within_df + total, gen)
 
                 chol_b = _chol(scale_b0 + effects.T @ effects, "between posterior scale")
-                sigma_b = _invwishart_from_chol(chol_b, prior.between_df + n, gen)
+                sigma_b = invwishart_from_chol(chol_b, prior.between_df + n, gen)
             except NumericalError as exc:
                 raise NumericalError(f"iteration {it}: {exc}") from exc
             if it >= settings.burn_in and (it - settings.burn_in) % settings.thin == 0:
@@ -493,8 +481,10 @@ def write_draws(draws: DrawSet, path) -> None:
 def read_draws(path) -> DrawSet:
     """Read a draw file written by :func:`write_draws`.
 
-    Corruption (bad metadata, short rows, non-numeric cells) raises
-    :class:`DataError` naming the byte offset of the offending line.
+    Corruption raises :class:`DataError`: short rows and non-numeric cells
+    name the byte offset of the offending line; bad or inconsistent
+    metadata (settings that do not match the row count, a ``k`` or model
+    tag that does not match the header) names what disagrees.
     """
     try:
         with open(path, "rb") as fh:
@@ -543,28 +533,40 @@ def read_draws(path) -> DrawSet:
             raise DataError(f"corrupt draw file: missing metadata field {key!r}")
 
     model = meta["model"]
-    k = int(meta["k"])
-    settings = McmcSettings(
-        iterations=int(meta["iterations"]),
-        burn_in=int(meta["burn_in"]),
-        thin=int(meta["thin"]),
-        seed=int(meta["seed"]),
-        chains=int(meta["chains"]),
-    )
+    if model not in (PROSECUTION, DEFENSE):
+        raise DataError(f"corrupt draw file: unknown model tag {model!r}")
+    cov_names = ("sigma_s",) if model == PROSECUTION else ("sigma_b", "sigma_w")
+    try:
+        k = int(meta["k"])
+        settings = McmcSettings(
+            iterations=int(meta["iterations"]),
+            burn_in=int(meta["burn_in"]),
+            thin=int(meta["thin"]),
+            seed=int(meta["seed"]),
+            chains=int(meta["chains"]),
+        )
+    except (ValueError, ConfigError) as exc:
+        raise DataError(f"corrupt draw file: {exc}") from None
+    per_cov = k * (k + 1) // 2
+    expected = 2 + k + len(cov_names) * per_cov
+    if k < 1 or len(header) != expected:
+        raise DataError(
+            f"corrupt draw file: header has {len(header)} columns, but a "
+            f"{model} file with k = {k} has {expected}"
+        )
+    tril = np.tril_indices(k)
     table = np.vstack(rows)
     means = table[:, :k]
-    cov_names = ("sigma_s",) if model == PROSECUTION else ("sigma_b", "sigma_w")
-    tril = np.tril_indices(k)
-    per_cov = len(tril[0])
     covs: dict[str, np.ndarray] = {}
     pos = k
     for name in cov_names:
         flat = table[:, pos : pos + per_cov]
-        if flat.shape[1] != per_cov:
-            raise DataError("corrupt draw file: covariance columns missing")
         stack = np.zeros((table.shape[0], k, k))
         stack[:, tril[0], tril[1]] = flat
         stack[:, tril[1], tril[0]] = flat
         covs[name] = stack
         pos += per_cov
-    return DrawSet(model, means, covs, settings)
+    try:
+        return DrawSet(model, means, covs, settings)
+    except ValueError as exc:
+        raise DataError(f"corrupt draw file: {exc}") from None

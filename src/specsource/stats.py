@@ -16,8 +16,8 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.lapack import dtrtrs as _lapack_dtrtrs
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import NotSpdError
 
@@ -27,6 +27,7 @@ __all__ = [
     "SpdMatrix",
     "as_vector",
     "compound_logpdf",
+    "invwishart_from_chol",
     "log_mean_exp",
     "mvn_logpdf",
     "sample_inverse_wishart",
@@ -35,11 +36,6 @@ __all__ = [
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-
-def _trtrs(a: np.ndarray, b: np.ndarray, lower: int = 1, trans: int = 0):
-    """Thin LAPACK triangular solve; avoids scipy wrapper overhead."""
-    x, info = _lapack_dtrtrs(a, b, lower=lower, trans=trans)
-    return x, info
 
 #: Relative asymmetry tolerated before a matrix is rejected as non-symmetric.
 SYMMETRY_RTOL = 1e-12
@@ -118,13 +114,6 @@ class SpdMatrix:
     @property
     def log_det(self) -> float:
         return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Return ``matrix^{-1} @ b`` via the cached factorization."""
-        return cho_solve((self.chol, True), np.asarray(b, dtype=float))
-
-    def inverse(self) -> np.ndarray:
-        return self.solve(np.eye(self.dim))
 
     def __array__(self, dtype=None, copy=None):
         if dtype is None:
@@ -213,7 +202,7 @@ def _tri_index_cache(k: int) -> tuple[np.ndarray, np.ndarray]:
 _TRI_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _invwishart_from_chol(chol_phi: np.ndarray, nu: float, gen) -> np.ndarray:
+def invwishart_from_chol(chol_phi: np.ndarray, nu: float, gen) -> np.ndarray:
     """Bartlett-construction inverse-Wishart draw given chol(phi); raw array.
 
     Consumes one chisquare(k) vector then one standard_normal(k(k-1)/2)
@@ -228,7 +217,7 @@ def _invwishart_from_chol(chol_phi: np.ndarray, nu: float, gen) -> np.ndarray:
     if k > 1:
         rows, cols = _tri_index_cache(k)
         a[rows, cols] = gen.standard_normal(k * (k - 1) // 2)
-    t, info = _trtrs(a, chol_phi.T, lower=1)
+    t, info = dtrtrs(a, chol_phi.T, lower=1)
     if info != 0:
         raise NotSpdError("inverse-Wishart draw produced a singular factor")
     return t.T @ t
@@ -247,7 +236,7 @@ def sample_inverse_wishart(phi, nu: float, rng: RngStream) -> SpdMatrix:
     nu = float(nu)
     if not nu > k - 1:
         raise ValueError(f"degrees of freedom must exceed k-1 = {k - 1}, got {nu}")
-    return SpdMatrix(_invwishart_from_chol(spd.chol, nu, rng.generator))
+    return SpdMatrix(invwishart_from_chol(spd.chol, nu, rng.generator))
 
 
 def _batched_chol(covs: np.ndarray) -> np.ndarray:

@@ -168,3 +168,10 @@ class TestDiagnoseCommand:
         path.write_bytes(blob[: int(len(blob) * 0.7)])
         assert main(["diagnose", "--draws", str(path)]) == EXIT_DATA
         assert "byte offset" in capsys.readouterr().err
+
+    def test_row_count_mismatch_exits_3(self, tmp_path, capsys):
+        path = self.make_draws(tmp_path)
+        lines = path.read_text().splitlines(True)
+        path.write_text("".join(lines[:-10]))
+        assert main(["diagnose", "--draws", str(path)]) == EXIT_DATA
+        assert "corrupt draw file: draw count" in capsys.readouterr().err

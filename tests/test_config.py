@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from specsource.cli import EXIT_CONFIG, main
 from specsource.config import config_hash, load_run_config
 from specsource.errors import ConfigError
 
@@ -104,6 +105,31 @@ specific_prior:
         assert cfg.study.replicates == 20
         assert cfg.study.design.fragments_per_source == 5
         assert cfg.study.params.dim == 2
+
+    def test_design_n_sources_rejected(self, tmp_path):
+        text = "seed: 1\nstudy:\n  grid: [10]\n  design:\n    n_sources: 7\n"
+        with pytest.raises(ConfigError, match=r"n_sources.*study\.grid"):
+            load_run_config(write_cfg(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("evaluate", BASIC.replace("iterations: 2000", "iterations: lots"), "mcmc.iterations"),
+            ("evaluate", BASIC.replace("fragments: [1, 2]", "fragments: [1, two]"),
+             "scenario.specific_fragments"),
+            ("evaluate", BASIC + "specific_prior:\n  mean: [0, zero]\n"
+             "  mean_covariance: 1.0\n  scale: 1.0\n  df: 3\n", "specific_prior.mean"),
+            ("simulate", "seed: 1\nstudy:\n  grid: [10, ten]\n", "study.grid"),
+            ("simulate", "seed: 1\nstudy:\n  grid: [10]\n  replicates: null\n",
+             "study.replicates"),
+        ],
+    )
+    def test_non_numeric_value_names_its_key(self, tmp_path, capsys, command, text, key):
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigError, match=f"^{key} must be numeric"):
+            load_run_config(path)
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        assert f"configuration error: {key} must be numeric" in capsys.readouterr().err
 
 
 class TestConfigHash:

@@ -6,7 +6,6 @@ import specsource.evaluate as evaluate_module
 from specsource.errors import DataError
 from specsource.evaluate import (
     LogDensityEstimate,
-    ReportProvenance,
     assemble_report,
     closed_form_predictive_known_cov,
     evaluate_scenario,
@@ -324,7 +323,7 @@ class TestClosedFormPredictive:
 
 class TestAssembleReport:
     def provenance(self):
-        return ReportProvenance(
+        return dict(
             scenario="s",
             hypothesis_prosecution="Hp",
             hypothesis_defense="Hd",
@@ -335,7 +334,7 @@ class TestAssembleReport:
         num = LogDensityEstimate(11.5, 0.02, 100, 3)
         plug = LogDensityEstimate(6.25, 0.0, 0, 3)
         full = LogDensityEstimate(3.5, 0.05, 100, 3)
-        rep = assemble_report(num, plug, full, self.provenance())
+        rep = assemble_report(num, plug, full, **self.provenance())
         assert rep.log_v_plugin == num.log_value - plug.log_value
         assert rep.log_v_full == num.log_value - full.log_value
         assert rep.v_plugin == np.exp(rep.log_v_plugin)
@@ -347,11 +346,4 @@ class TestAssembleReport:
         plug = LogDensityEstimate(1.0, 0.0, 0, 2)
         full = LogDensityEstimate(1.0, 0.0, 1, 3)
         with pytest.raises(ValueError, match="dimension"):
-            assemble_report(num, plug, full, self.provenance())
-
-    def test_conflicting_labels_rejected(self):
-        num = LogDensityEstimate(1.0, 0.0, 1, 2, label="a")
-        plug = LogDensityEstimate(1.0, 0.0, 0, 2, label="b")
-        full = LogDensityEstimate(1.0, 0.0, 1, 2)
-        with pytest.raises(ValueError, match="labels"):
-            assemble_report(num, plug, full, self.provenance())
+            assemble_report(num, plug, full, **self.provenance())

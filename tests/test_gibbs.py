@@ -108,10 +108,6 @@ class TestGibbsSpecific:
         draws = gibbs_specific(y, small_specific_prior(), QUICK)
         np.linalg.cholesky(draws.cov("sigma_s"))  # raises if any draw fails
 
-    def test_empty_requires_flag(self):
-        with pytest.raises(DataError, match="empty"):
-            gibbs_specific(np.empty((0, 2)), small_specific_prior(), QUICK)
-
     def test_prior_mode_matches_prior_moments(self):
         # zero data: draws are iid from the prior; IW mean needs df > k+1
         k = 2
@@ -122,9 +118,7 @@ class TestGibbsSpecific:
             cov_df=5.5,
         )
         settings = McmcSettings(iterations=20000, burn_in=0, seed=11)
-        draws = gibbs_specific(
-            np.empty((0, k)), prior, settings, allow_empty=True
-        )
+        draws = gibbs_specific(np.empty((0, k)), prior, settings)
         mu_mean = draws.means.mean(axis=0)
         mu_se = draws.means.std(axis=0, ddof=1) / np.sqrt(draws.size)
         assert np.all(np.abs(mu_mean - prior.mean) <= 3 * mu_se)
@@ -183,10 +177,12 @@ class TestGibbsAlternative:
         )
         assert np.all(np.abs(got - mu_true) <= 3 * np.sqrt(stat_se**2 + mc_se**2))
 
-    def test_fewer_than_two_sources_rejected(self):
+    def test_single_source_is_sampled(self):
+        # proper priors give a proper posterior for any n >= 1
         groups = simulate_groups(1, 4, 2, np.zeros(2), [1, 1], [1, 1])
-        with pytest.raises(DataError, match="at least 2"):
-            gibbs_alternative(groups, small_alt_prior(), QUICK)
+        draws = gibbs_alternative(groups, small_alt_prior(), QUICK)
+        assert draws.size == QUICK.kept_per_chain
+        assert np.all(np.isfinite(draws.means))
 
     def test_unbalanced_groups_supported(self):
         rng = np.random.default_rng(8)
@@ -205,7 +201,7 @@ class TestGibbsAlternative:
             within_df=7.0,
         )
         settings = McmcSettings(iterations=20000, burn_in=0, seed=19)
-        draws = gibbs_alternative([], prior, settings, allow_empty=True)
+        draws = gibbs_alternative([], prior, settings)
         for name, scale, df in (
             ("sigma_b", prior.between_scale.values, 6.0),
             ("sigma_w", prior.within_scale.values, 7.0),
@@ -285,6 +281,26 @@ class TestDrawSerialization:
         bad.write_text(text)
         with pytest.raises(DataError, match="byte offset"):
             read_draws(bad)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda text: "".join(text.splitlines(True)[:-10]),
+            lambda text: text.replace("# iterations: 200", "# iterations: lots"),
+            lambda text: text.replace("# burn_in: 50", "# burn_in: 500"),
+            lambda text: text.replace("# k: 3", "# k: 2"),
+        ],
+        ids=["ten-rows-short", "non-integer-iterations", "burn-in-too-large", "wrong-k"],
+    )
+    def test_inconsistent_metadata_is_data_error(self, tmp_path, corrupt):
+        y = np.random.default_rng(2).normal(size=(3, 3)) * 0.1
+        settings = McmcSettings(iterations=200, burn_in=50, seed=4)
+        draws = gibbs_specific(y, SpecificPrior.glass_default(), settings)
+        path = tmp_path / "draws.csv"
+        write_draws(draws, path)
+        path.write_text(corrupt(path.read_text()))
+        with pytest.raises(DataError, match="corrupt draw file"):
+            read_draws(path)
 
 
 class TestDrawSetValidation:
