@@ -105,7 +105,10 @@ def _parse_scenario(node) -> ScenarioSpec:
                 _number(i, int, "scenario.trace.fragments")
                 for i in _require(trace, "fragments", "scenario.trace", list)
             )
-    excluded = tuple(str(s) for s in node.get("exclude_sources", []) or [])
+    excluded = node.get("exclude_sources") or []
+    if not isinstance(excluded, list):
+        raise ConfigError("scenario.exclude_sources must be a list of source ids")
+    excluded = tuple(str(s) for s in excluded)
     try:
         return ScenarioSpec(
             specific_source_id=specific,
@@ -198,6 +201,8 @@ def _parse_study(node) -> StudyConfig:
     )
     replicates = _number(node.get("replicates", 20), int, "study.replicates")
     design_node = node.get("design") or {}
+    if not isinstance(design_node, dict):
+        raise ConfigError("study.design must be a mapping")
     if "n_sources" in design_node:
         raise ConfigError(
             "study.design.n_sources is not a setting: "

@@ -1,30 +1,44 @@
-"""Gibbs samplers for the two nuisance-parameter posteriors.
-
-The prosecution side samples (mu, Sigma) of the specific-source
-multivariate normal given the control fragments.  The defense side samples
-(mu, Sigma_between, Sigma_within) of the random effects model for the
-alternative population, cycling the latent per-source effects internally
-but retaining only the population-level triple.
+"""Posterior samplers for the two nuisance-parameter posteriors.
 
 Both samplers work on plain feature matrices: callers hand the specific
 sample as an (m, k) array and the alternative population as a sequence of
 per-source (m_i, k) arrays ordered by sorted source id (see
-``EvidenceSet.alternative_groups``).  Full conditionals:
+``EvidenceSet.alternative_groups``).
 
-prosecution side, data y_1..y_m ~ MVN(mu, Sigma):
-    mu    | Sigma ~ MVN((L0i + m*Si)^-1 (L0i mu0 + Si sum_y), (L0i + m*Si)^-1)
-    Sigma | mu    ~ InvWishart(scale + sum_j (y_j-mu)(y_j-mu)^T, df + m)
-with L0i, Si the prior respectively current precision.
+Prosecution side, controls y_1..y_m ~ MVN(mu, Sigma) with
+mu ~ MVN(mu0, L0) and Sigma ~ IW(Phi, nu).  No Markov chain is needed:
+with mean ybar, scatter S and d = ybar - mu0, integrating mu out gives
 
-defense side, data y_ij = mu + a_i + w_ij:
-    a_i   | rest ~ MVN(V_i m_i Swi (ybar_i - mu), V_i),  V_i = (Sbi + m_i Swi)^-1
-    mu    | rest ~ conjugate MVN given residuals y_ij - a_i
-    Sig_w | rest ~ InvWishart(scale_w + sum_ij r_ij r_ij^T, df_w + sum_i m_i)
-    Sig_b | rest ~ InvWishart(scale_b + sum_i a_i a_i^T,    df_b + n)
+    p(Sigma | Y)  proportional to  IW(Phi + S, nu + m - 1)(Sigma) N(ybar; mu0, L0 + Sigma/m)
 
-One chain is strictly sequential; multiple chains each own a distinct
-stream and are merged in (chain, iteration) order, so results do not depend
-on how chains were scheduled.
+and the normal factor is at most its value with Sigma = 0.  So Sigma is
+drawn from that inverse Wishart and accepted with probability
+
+    exp(-1/2 [log|L0 + Sigma/m| - log|L0| + d^T (L0 + Sigma/m)^-1 d]),
+
+then mu | Sigma ~ MVN(P^-1 (L0^-1 mu0 + Sigma^-1 sum_y), P^-1) with
+P = L0^-1 + m Sigma^-1.  The draws are iid; a chain keeps as many as the
+settings retain.  An acceptance rate below ``ACCEPTANCE_FLOOR`` raises.
+
+Defense side, y_ij = mu + a_i + w_ij with a_i ~ MVN(0, Sig_b) and
+w_ij ~ MVN(0, Sig_w).  Each sweep draws (mu, a) jointly given the
+covariances, then the covariances (Liu, Wong & Kong 1994, Biometrika
+81:27).  With V_m = Sig_b + Sig_w / m for a source of m fragments:
+
+    mu    | Sig_b, Sig_w ~ MVN(P^-1 h, P^-1), the effects integrated out:
+                           P = L0^-1 + sum_i V_{m_i}^-1,
+                           h = L0^-1 mu0 + sum_i V_{m_i}^-1 ybar_i
+    a_i   | mu, ...      ~ MVN(G (ybar_i - mu), G Sig_w / m_i), G = Sig_b V_{m_i}^-1
+    Sig_w | mu, a        ~ IW(Phi_w + W + sum_i m_i e_i e_i^T, nu_w + sum_i m_i),
+                           W the pooled within scatter, e_i = ybar_i - mu - a_i
+    Sig_b | a            ~ IW(Phi_b + sum_i a_i a_i^T, nu_b + n)
+
+Without the blocking, mu and the effects move in tiny steps when Sig_b
+dominates Sig_w.  One lockstep core advances many chains at once as
+stacked (C, k, k) arrays, each chain on its own data set and its own
+stream; random numbers come in fixed blocks per chain, so a chain's draws
+do not depend on which other chains run beside it.  Chains are merged in
+(chain, iteration) order.
 """
 
 from __future__ import annotations
@@ -33,10 +47,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.fft import next_fast_len
-from scipy.linalg.lapack import dtrtrs
 
 from .errors import ConfigError, DataError, DegenerateChainError, NumericalError
-from .stats import RngStream, SpdMatrix, as_vector, invwishart_from_chol
+from .stats import RngStream, SpdMatrix, as_vector, invwishart_bartlett
 
 __all__ = [
     "AlternativePrior",
@@ -50,6 +63,7 @@ __all__ = [
     "gibbs_alternative",
     "gibbs_specific",
     "read_draws",
+    "sample_alternative",
     "stream_id",
     "write_draws",
 ]
@@ -62,6 +76,14 @@ DEFENSE = "defense-side"
 PURPOSE_SPECIFIC = 1
 PURPOSE_ALTERNATIVE = 2
 PURPOSE_SIMULATION = 3
+
+#: Iterations whose random numbers are drawn at once from each defense chain's
+#: stream.  Fixed, so a chain uses its stream the same way at any batch size.
+BLOCK_ITERATIONS = 16
+#: The exact prosecution-side sampler raises below this acceptance rate.
+ACCEPTANCE_FLOOR = 0.01
+#: Fewest proposals per round of the exact prosecution-side sampler.
+MIN_PROPOSALS = 1024
 
 
 def stream_id(purpose: int, job: int = 0, chain: int = 0) -> int:
@@ -227,29 +249,78 @@ class DrawSet:
         return [slice(c * kept, (c + 1) * kept) for c in range(self.settings.chains)]
 
 
-def _chol(a: np.ndarray, what: str) -> np.ndarray:
+class _ChainFailure(NumericalError):
+    """A batched factorization failed; ``chain`` is the first chain it failed in."""
+
+    def __init__(self, chain: int, what: str):
+        super().__init__(f"{what} is not positive definite")
+        self.chain = chain
+
+
+def _factor(routine, stack: np.ndarray, what: str) -> np.ndarray:
+    """Apply a batched LAPACK ``routine``; on failure name the first failing chain.
+
+    The chain is the index along the last batch axis of ``stack``.
+    """
     try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"{what} is not positive definite") from exc
+        return routine(stack)
+    except np.linalg.LinAlgError:
+        for idx in np.ndindex(stack.shape[:-2]):
+            try:
+                routine(stack[idx])
+            except np.linalg.LinAlgError:
+                raise _ChainFailure(idx[-1] if idx else 0, what) from None
+        raise
 
 
-def _inv_spd(a: np.ndarray, what: str) -> np.ndarray:
-    lower = _chol(a, what)
-    inv, info = dtrtrs(lower, np.eye(a.shape[0]), lower=1)
-    if info != 0:
-        raise NumericalError(f"{what} is numerically singular")
-    return inv.T @ inv
+def _mean_given_cov(sigmas, m, sum_y, lam0_prec, shift0, z) -> np.ndarray:
+    """Draws of mu | Sigma for m rows summing to ``sum_y``; one per row of ``z``.
+
+    ``sigmas`` is a (T, k, k) stack, or (1, k, k) for one shared Sigma.  With
+    precision P = L0^-1 + m Sigma^-1 = L L^T, each draw is
+    P^-1 (L0^-1 mu0 + Sigma^-1 sum_y) + L^-T z.
+    """
+    sig_prec = np.linalg.inv(sigmas)
+    prec = lam0_prec + m * sig_prec
+    lower = _factor(np.linalg.cholesky, prec, "conditional precision")
+    mean = np.linalg.solve(prec, (shift0 + sig_prec @ sum_y)[..., None])
+    noise = np.linalg.solve(lower.swapaxes(-1, -2), z[..., None])
+    return (mean + noise)[..., 0]
 
 
-def _draw_mvn_from_precision(prec: np.ndarray, shift: np.ndarray, gen) -> np.ndarray:
-    """Draw MVN(prec^-1 shift, prec^-1) from the precision-form conditional."""
-    lower = _chol(prec, "conditional precision")
-    half, _ = dtrtrs(lower, shift, lower=1)
-    mean, _ = dtrtrs(lower, half, lower=1, trans=1)
-    z = gen.standard_normal(shift.size)
-    tail, _ = dtrtrs(lower, z, lower=1, trans=1)
-    return mean + tail
+def _exact_covariances(gen, scale_post, df_post, lam0, ybar_dev, m, count):
+    """``count`` accepted draws of Sigma from p(Sigma | Y), mu integrated out.
+
+    Proposals come from IW(scale_post, df_post) = IW(Phi + S, nu + m - 1) in
+    rounds sized by the acceptance rate seen so far.  With m >= 1 a proposal
+    is accepted with probability N(ybar; mu0, L0 + Sigma/m) / N(0; 0, L0),
+    which is at most 1; with m = 0 every proposal is a prior draw and is kept.
+    """
+    k = scale_post.shape[0]
+    chol_post = _factor(np.linalg.cholesky, scale_post, "posterior scale")
+    log_det_lam0 = 2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(lam0))))
+    kept: list[np.ndarray] = []
+    accepted = proposed = 0
+    while accepted < count:
+        rate = accepted / proposed if proposed else 1.0
+        size = max(MIN_PROPOSALS, int(np.ceil((count - accepted) / max(rate, ACCEPTANCE_FLOOR))))
+        chi2 = gen.chisquare(df_post - np.arange(k), size=(size, k))
+        normals = gen.standard_normal((size, k * (k - 1) // 2))
+        sigmas = invwishart_bartlett(chol_post, chi2, normals)
+        if m:
+            log_u = np.log(gen.random(size))
+            lower = np.linalg.cholesky(lam0 + sigmas / m)
+            z = np.linalg.solve(lower, np.broadcast_to(ybar_dev[:, None], (size, k, 1)))
+            log_det = 2.0 * np.sum(np.log(np.diagonal(lower, axis1=1, axis2=2)), axis=1)
+            sigmas = sigmas[log_u < -0.5 * (log_det - log_det_lam0 + np.sum(z * z, axis=(1, 2)))]
+        kept.append(sigmas)
+        accepted += sigmas.shape[0]
+        proposed += size
+        if accepted < ACCEPTANCE_FLOOR * proposed:
+            raise NumericalError(
+                f"acceptance rate {accepted / proposed:.2g} is below the floor {ACCEPTANCE_FLOOR}"
+            )
+    return np.concatenate(kept)[:count]
 
 
 def gibbs_specific(
@@ -258,53 +329,211 @@ def gibbs_specific(
     settings: McmcSettings,
     *,
     sigma_fixed: SpdMatrix | None = None,
+    job: int = 0,
 ) -> DrawSet:
-    """Sample the specific-source posterior given control fragments ``y``.
+    """Exact posterior draws of the specific source's (mu, Sigma) given controls ``y``.
 
     ``y`` is the (m, k) matrix of control measurements from the single
-    specific source.  ``sigma_fixed`` freezes the covariance at a known
-    value (used by the analytic-oracle tests).  With m = 0 the draws come
-    from the prior, which is proper.
+    specific source.  Each chain draws ``settings.kept_per_chain`` iid pairs
+    from its own stream ``(settings.seed, job, chain)``: Sigma by rejection
+    from its mu-integrated posterior, then mu from its normal conditional.
+    ``sigma_fixed`` freezes the covariance at a known value (used by the
+    analytic-oracle tests); mu then uses the normals an iteration-by-
+    iteration sampler would, rows ``burn_in::thin`` of an (iterations, k)
+    draw.  With m = 0 the draws come from the prior, which is proper.
     """
     y = np.atleast_2d(np.asarray(y, dtype=float)) if np.size(y) else np.empty((0, prior.dim))
     if y.ndim != 2 or (y.shape[0] and y.shape[1] != prior.dim):
         raise DataError(f"control sample must be (m, {prior.dim}), got {y.shape}")
     m = y.shape[0]
-
     k = prior.dim
-    sum_y = y.sum(axis=0) if m else np.zeros(k)
-    lam0_prec = _inv_spd(prior.mean_cov.values, "prior mean covariance")
+    ybar = y.mean(axis=0) if m else prior.mean
+    dev = y - ybar
+    scale_post = prior.cov_scale.values + dev.T @ dev
+    df_post = prior.cov_df + max(m - 1, 0)
+    lam0 = prior.mean_cov.values
+    lam0_prec = np.linalg.inv(lam0)
     shift0 = lam0_prec @ prior.mean
-    prior_scale = prior.cov_scale.values
+    sum_y = y.sum(axis=0)
     kept = settings.kept_per_chain
 
-    means = np.empty((settings.chains * kept, k))
-    sigmas = np.empty((settings.chains * kept, k, k))
-
+    means = np.empty((settings.chains, kept, k))
+    sigmas = np.empty((settings.chains, kept, k, k))
     for chain in range(settings.chains):
-        gen = RngStream(settings.seed, stream_id(PURPOSE_SPECIFIC, 0, chain)).generator
-        sigma = (
-            sigma_fixed.values if sigma_fixed is not None else prior_scale / prior.cov_df
-        )
-        base = chain * kept
-        stored = 0
-        for it in range(settings.iterations):
-            try:
-                sig_prec = _inv_spd(sigma, "current covariance")
-                prec = lam0_prec + m * sig_prec
-                mu = _draw_mvn_from_precision(prec, shift0 + sig_prec @ sum_y, gen)
-                if sigma_fixed is None:
-                    resid = y - mu
-                    chol_scale = _chol(prior_scale + resid.T @ resid, "posterior scale")
-                    sigma = invwishart_from_chol(chol_scale, prior.cov_df + m, gen)
-            except NumericalError as exc:
-                raise NumericalError(f"iteration {it}: {exc}") from exc
-            if it >= settings.burn_in and (it - settings.burn_in) % settings.thin == 0:
-                means[base + stored] = mu
-                sigmas[base + stored] = sigma
-                stored += 1
+        gen = RngStream(settings.seed, stream_id(PURPOSE_SPECIFIC, job, chain)).generator
+        try:
+            if sigma_fixed is None:
+                cov = _exact_covariances(gen, scale_post, df_post, lam0, ybar - prior.mean, m, kept)
+                z = gen.standard_normal((kept, k))
+            else:
+                cov = sigma_fixed.values[None]
+                z = gen.standard_normal((settings.iterations, k))[settings.burn_in :: settings.thin]
+            means[chain] = _mean_given_cov(cov, m, sum_y, lam0_prec, shift0, z)
+        except NumericalError as exc:
+            raise NumericalError(f"{PROSECUTION} sampler, chain {chain}: {exc}") from None
+        sigmas[chain] = cov
 
-    return DrawSet(PROSECUTION, means, {"sigma_s": sigmas}, settings)
+    return DrawSet(
+        PROSECUTION, means.reshape(-1, k), {"sigma_s": sigmas.reshape(-1, k, k)}, settings
+    )
+
+
+def _group_statistics(groups, order, k) -> tuple[np.ndarray, np.ndarray]:
+    """Group means (n, k), in ``order``, and the pooled within-group scatter (k, k)."""
+    if not len(order):
+        return np.empty((0, k)), np.zeros((k, k))
+    rows = np.concatenate([groups[i] for i in order])
+    sizes = np.array([groups[i].shape[0] for i in order])
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    means = np.add.reduceat(rows, starts, axis=0) / sizes[:, None]
+    dev = rows - np.repeat(means, sizes, axis=0)
+    return means, dev.T @ dev
+
+
+def sample_alternative(
+    datasets,
+    prior: AlternativePrior,
+    settings: McmcSettings,
+    *,
+    jobs,
+    labels=None,
+) -> list[DrawSet]:
+    """Sample the alternative-population posterior for many data sets in lockstep.
+
+    ``datasets`` is a sequence of data sets, each a sequence of (m_i, k)
+    arrays, one per source, in sorted source-id order; all data sets share
+    one group-size layout (the same m_i in the same order).  Data set d runs
+    ``settings.chains`` chains on streams ``(settings.seed, jobs[d], chain)``,
+    and all C = len(datasets) * chains chains advance together as stacked
+    (C, k, k) arrays.  Random numbers are drawn from each chain's own stream
+    in blocks of ``BLOCK_ITERATIONS`` iterations, so a chain's draws do not
+    depend on C or on the other chains.  Returns one DrawSet per data set.
+
+    A factorization that fails raises :class:`NumericalError` naming
+    ``labels[d]`` (when given), the chain and the iteration.  Any number of
+    sources is accepted, since the priors are proper: with none the draws
+    come from the prior.
+    """
+    k = prior.dim
+    datasets = [[np.atleast_2d(np.asarray(g, dtype=float)) for g in groups] for groups in datasets]
+    if len(jobs) != len(datasets):
+        raise ValueError("need one job id per data set")
+    for groups in datasets:
+        for g in groups:
+            if g.shape[1] != k:
+                raise DataError(f"group has dimension {g.shape[1]}, expected {k}")
+            if g.shape[0] < 1:
+                raise DataError("every alternative source needs at least one fragment")
+    layout = [g.shape[0] for g in datasets[0]]
+    if any([g.shape[0] for g in groups] != layout for groups in datasets):
+        raise DataError("data sets sampled together need one group-size layout")
+
+    # Sources sorted by size, so each size class is one slice.
+    order = np.argsort(layout, kind="stable")
+    sizes = np.array(layout, dtype=int)[order]
+    n, total = sizes.size, int(sizes.sum())
+    chains = settings.chains
+    stats = [_group_statistics(groups, order, k) for groups in datasets]
+    ybars = np.repeat(np.array([s[0] for s in stats]), chains, axis=0)
+    within = np.repeat(np.array([s[1] for s in stats]), chains, axis=0)
+    # size classes: fragments per source (K, 1, 1, 1), source counts (K, 1, 1, 1),
+    # sums of group means (K, C, k) and the slice of sources in each class
+    class_m, starts, counts = np.unique(sizes, return_index=True, return_counts=True)
+    class_rows = [slice(lo, lo + cnt) for lo, cnt in zip(starts.tolist(), counts.tolist())]
+    class_sums = np.array([ybars[:, r].sum(axis=1) for r in class_rows])
+    class_sums = class_sums.reshape(len(class_rows), ybars.shape[0], k)
+    class_m = class_m.astype(float)[:, None, None, None]
+    counts = counts.astype(float)[:, None, None, None]
+
+    gens = [
+        RngStream(settings.seed, stream_id(PURPOSE_ALTERNATIVE, job, chain)).generator
+        for job in jobs
+        for chain in range(chains)
+    ]
+    n_chains = len(gens)
+    tri = k * (k - 1) // 2
+    normals = np.empty((n_chains, BLOCK_ITERATIONS, k + n * k + 2 * tri))
+    chi2 = np.empty((n_chains, BLOCK_ITERATIONS, 2 * k))
+    dfs = np.concatenate(
+        [prior.within_df + total - np.arange(k), prior.between_df + n - np.arange(k)]
+    )
+
+    lam0_prec = np.linalg.inv(prior.mean_cov.values)
+    shift0 = lam0_prec @ prior.mean
+    scale0 = np.stack([prior.within_scale.values, prior.between_scale.values])[:, None]
+    # sigma[0] is Sigma_w, sigma[1] is Sigma_b
+    sigma = np.empty((2, n_chains, k, k))
+    sigma[0] = prior.within_scale.values / prior.within_df
+    sigma[1] = prior.between_scale.values / prior.between_df
+    effects = np.empty((n_chains, n, k))
+    scale = np.empty((2, n_chains, k, k))
+    weights = sizes[:, None].astype(float)
+    kept = settings.kept_per_chain
+    out_mu = np.empty((n_chains, kept, k))
+    out_sigma = np.empty((2, n_chains, kept, k, k))
+
+    stored = 0
+    for it in range(settings.iterations):
+        j = it % BLOCK_ITERATIONS
+        if j == 0:
+            for c, gen in enumerate(gens):
+                gen.standard_normal(out=normals[c])
+                chi2[c] = gen.chisquare(dfs, size=(BLOCK_ITERATIONS, 2 * k))
+        z = normals[:, j]
+        sigma_w, sigma_b = sigma
+        try:
+            # mu | Sigma_b, Sigma_w with the effects integrated out:
+            # ybar_i ~ N(mu, Sigma_b + Sigma_w / m_i), one (K, C, k, k) stack
+            v_inv = _factor(np.linalg.inv, sigma_b + sigma_w / class_m, "group-mean covariance")
+            prec = lam0_prec + (counts * v_inv).sum(axis=0)
+            shift = shift0 + (v_inv @ class_sums[..., None]).sum(axis=0)[..., 0]
+            cov_mu = _factor(np.linalg.inv, prec, "mean conditional precision")
+            low_mu = _factor(np.linalg.cholesky, cov_mu, "mean conditional covariance")
+            mu = ((cov_mu @ shift[..., None]) + low_mu @ z[:, :k, None])[..., 0]
+
+            # a_i | mu: mean G (ybar_i - mu), covariance G Sigma_w / m_i,
+            # with G = Sigma_b (Sigma_b + Sigma_w / m_i)^-1
+            gains = sigma_b @ v_inv
+            cov = gains @ sigma_w / class_m
+            cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+            low = _factor(np.linalg.cholesky, cov, "source-effect covariance")
+            dev = ybars - mu[:, None]
+            z_eff = z[:, k : k + n * k].reshape(n_chains, n, k)
+            for gain, lower, r in zip(gains, low, class_rows):
+                effects[:, r] = dev[:, r] @ gain.swapaxes(-1, -2)
+                effects[:, r] += z_eff[:, r] @ lower.swapaxes(-1, -2)
+
+            # Sigma_w, Sigma_b | mu, effects: both inverse-Wishart draws at once
+            resid = dev - effects
+            scale[0] = within + (resid * weights).swapaxes(-1, -2) @ resid
+            scale[1] = effects.swapaxes(-1, -2) @ effects
+            scale += scale0
+            chol_scale = _factor(np.linalg.cholesky, scale, "covariance posterior scale")
+            sigma = invwishart_bartlett(
+                chol_scale,
+                chi2[:, j].reshape(n_chains, 2, k).swapaxes(0, 1),
+                z[:, k + n * k :].reshape(n_chains, 2, tri).swapaxes(0, 1),
+            )
+        except NumericalError as exc:
+            where = f"iteration {it}"
+            if isinstance(exc, _ChainFailure):
+                d, chain = divmod(exc.chain, chains)
+                where = f"{labels[d] + ' ' if labels else ''}chain {chain}, {where}"
+            raise NumericalError(f"{where}: {exc}") from None
+        if it >= settings.burn_in and (it - settings.burn_in) % settings.thin == 0:
+            out_mu[:, stored] = mu
+            out_sigma[:, :, stored] = sigma
+            stored += 1
+
+    draws = []
+    for d in range(len(datasets)):
+        block = slice(d * chains, (d + 1) * chains)
+        covs = {
+            "sigma_b": out_sigma[1, block].reshape(-1, k, k),
+            "sigma_w": out_sigma[0, block].reshape(-1, k, k),
+        }
+        draws.append(DrawSet(DEFENSE, out_mu[block].reshape(-1, k), covs, settings))
+    return draws
 
 
 def gibbs_alternative(
@@ -315,93 +544,10 @@ def gibbs_alternative(
     """Sample the alternative-population posterior given grouped fragments.
 
     ``groups`` is a sequence of (m_i, k) arrays, one per source, in sorted
-    source-id order.  Latent source effects are updated jointly (one batched
-    draw per sweep) but not retained.  Any number of sources is accepted,
-    since the priors are proper: with none the draws come from the prior.
+    source-id order.  Runs ``settings.chains`` lockstep chains of
+    :func:`sample_alternative` on job 0's streams.
     """
-    k = prior.dim
-    groups = [np.atleast_2d(np.asarray(g, dtype=float)) for g in groups]
-    for g in groups:
-        if g.shape[1] != k:
-            raise DataError(f"group has dimension {g.shape[1]}, expected {k}")
-        if g.shape[0] < 1:
-            raise DataError("every alternative source needs at least one fragment")
-    n = len(groups)
-
-    sizes = np.array([g.shape[0] for g in groups], dtype=int)
-    total = int(sizes.sum())
-    if n:
-        stacked = np.concatenate(groups, axis=0)
-        ybars = np.array([g.mean(axis=0) for g in groups])
-        sum_y = stacked.sum(axis=0)
-        group_index = np.repeat(np.arange(n), sizes)
-        grand = sum_y / total
-    else:
-        stacked = np.empty((0, k))
-        ybars = np.empty((0, k))
-        sum_y = np.zeros(k)
-        group_index = np.empty(0, dtype=int)
-        grand = prior.mean.copy()
-    size_classes = [(int(s), np.flatnonzero(sizes == s)) for s in np.unique(sizes)]
-
-    lam0_prec = _inv_spd(prior.mean_cov.values, "prior mean covariance")
-    shift0 = lam0_prec @ prior.mean
-    scale_b0 = prior.between_scale.values
-    scale_w0 = prior.within_scale.values
-    kept = settings.kept_per_chain
-
-    means = np.empty((settings.chains * kept, k))
-    betweens = np.empty((settings.chains * kept, k, k))
-    withins = np.empty((settings.chains * kept, k, k))
-
-    for chain in range(settings.chains):
-        gen = RngStream(
-            settings.seed, stream_id(PURPOSE_ALTERNATIVE, 0, chain)
-        ).generator
-        mu = grand.copy()
-        sigma_b = scale_b0 / prior.between_df
-        sigma_w = scale_w0 / prior.within_df
-        effects = ybars - mu
-        base = chain * kept
-        stored = 0
-        for it in range(settings.iterations):
-            try:
-                w_prec = _inv_spd(sigma_w, "within covariance")
-                b_prec = _inv_spd(sigma_b, "between covariance")
-                if n:
-                    z = gen.standard_normal((n, k))
-                    centered = ybars - mu
-                    for m_i, rows in size_classes:
-                        prec_i = b_prec + m_i * w_prec
-                        lower_i = _chol(prec_i, "source-effect conditional precision")
-                        rhs = m_i * (w_prec @ centered[rows].T)
-                        half, _ = dtrtrs(lower_i, rhs, lower=1)
-                        cond_means, _ = dtrtrs(lower_i, half, lower=1, trans=1)
-                        noise, _ = dtrtrs(lower_i, z[rows].T, lower=1, trans=1)
-                        effects[rows] = (cond_means + noise).T
-                effect_total = sizes @ effects if n else np.zeros(k)
-                prec = lam0_prec + total * w_prec
-                shift = shift0 + w_prec @ (sum_y - effect_total)
-                mu = _draw_mvn_from_precision(prec, shift, gen)
-
-                resid = stacked - mu - effects[group_index] if n else stacked
-                chol_w = _chol(scale_w0 + resid.T @ resid, "within posterior scale")
-                sigma_w = invwishart_from_chol(chol_w, prior.within_df + total, gen)
-
-                chol_b = _chol(scale_b0 + effects.T @ effects, "between posterior scale")
-                sigma_b = invwishart_from_chol(chol_b, prior.between_df + n, gen)
-            except NumericalError as exc:
-                raise NumericalError(f"iteration {it}: {exc}") from exc
-            if it >= settings.burn_in and (it - settings.burn_in) % settings.thin == 0:
-                idx = base + stored
-                means[idx] = mu
-                betweens[idx] = sigma_b
-                withins[idx] = sigma_w
-                stored += 1
-
-    return DrawSet(
-        DEFENSE, means, {"sigma_b": betweens, "sigma_w": withins}, settings
-    )
+    return sample_alternative([groups], prior, settings, jobs=[0])[0]
 
 
 def effective_sample_size(chain) -> float:
@@ -484,7 +630,8 @@ def read_draws(path) -> DrawSet:
     Corruption raises :class:`DataError`: short rows and non-numeric cells
     name the byte offset of the offending line; bad or inconsistent
     metadata (settings that do not match the row count, a ``k`` or model
-    tag that does not match the header) names what disagrees.
+    tag that does not match the header) and stored covariances that are not
+    positive definite name what disagrees.
     """
     try:
         with open(path, "rb") as fh:
@@ -568,5 +715,5 @@ def read_draws(path) -> DrawSet:
         pos += per_cov
     try:
         return DrawSet(model, means, covs, settings)
-    except ValueError as exc:
+    except (ValueError, NumericalError) as exc:
         raise DataError(f"corrupt draw file: {exc}") from None

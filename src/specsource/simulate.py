@@ -18,12 +18,22 @@ import numpy as np
 
 from .errors import ConfigError, SpecSourceError
 from .evidence import EvidenceSet, Fragment
-from .evaluate import evaluate_scenario
+# The study scores cells itself; evaluate_scenario stays importable here
+# because the benchmark's tracer (perfbench/tracing.py) wraps this name.
+from .evaluate import (  # noqa: F401
+    evaluate_scenario,
+    log_denominator_full,
+    log_denominator_plugin,
+    log_numerator,
+    plugin_estimates,
+)
 from .gibbs import (
     PURPOSE_SIMULATION,
     AlternativePrior,
     McmcSettings,
     SpecificPrior,
+    gibbs_specific,
+    sample_alternative,
     stream_id,
 )
 from .stats import RngStream, SpdMatrix, as_vector, sample_mvn
@@ -121,9 +131,9 @@ def simulate_evidence(
 ) -> EvidenceSet:
     """Draw one evidence triple; deterministic given the stream.
 
-    Draw order is fixed: control sample, then per-source population effects
-    and noise, then the trace (fresh source effect first when generated from
-    the alternative side).
+    Draw order is fixed: control sample, then the population's source
+    effects, then its within-source noise source by source, then the trace
+    (fresh source effect first when generated from the alternative side).
     """
     k = params.dim
     zero = np.zeros(k)
@@ -135,12 +145,11 @@ def simulate_evidence(
 
     effects = sample_mvn(zero, params.sigma_b, rng, size=design.n_sources)
     m = design.fragments_per_source
-    e_a = []
-    for i in range(design.n_sources):
-        noise = sample_mvn(zero, params.sigma_w, rng, size=m)
-        source_mean = params.mu_a + effects[i]
-        for j in range(m):
-            e_a.append(Fragment(f"alt{i + 1:04d}", j + 1, source_mean + noise[j]))
+    noise = sample_mvn(zero, params.sigma_w, rng, size=design.n_sources * m)
+    points = params.mu_a + np.repeat(effects, m, axis=0) + noise
+    e_a = tuple(
+        Fragment(f"alt{i // m + 1:04d}", i % m + 1, point) for i, point in enumerate(points)
+    )
 
     if design.trace_model == TRACE_FROM_SPECIFIC:
         trace_pts = sample_mvn(params.mu_s, params.sigma_s, rng, size=design.n_trace)
@@ -150,7 +159,7 @@ def simulate_evidence(
         trace_pts = params.mu_a + fresh + noise
     e_u = tuple(Fragment("trace", j + 1, trace_pts[j]) for j in range(design.n_trace))
 
-    return EvidenceSet(e_u=e_u, e_s=e_s, e_a=tuple(e_a))
+    return EvidenceSet(e_u=e_u, e_s=e_s, e_a=e_a)
 
 
 @dataclass(frozen=True)
@@ -175,6 +184,11 @@ def _study_priors(k: int) -> tuple[SpecificPrior, AlternativePrior]:
     )
 
 
+def _study_job(n_idx: int, rep: int) -> int:
+    """Sampler job id of one study cell; never 0, which ``evaluate`` uses."""
+    return ((n_idx + 1) << 16) | rep
+
+
 def convergence_study(
     params: TrueParams,
     design: DesignSpec,
@@ -191,50 +205,67 @@ def convergence_study(
 
     Each (n, replicate) cell simulates a fresh triple under the
     trace-from-specific model, runs both evaluation routes, and records
-    |log V_full - log V_plugin|.  Rows come back sorted by (n, replicate);
-    each cell gets its own simulation stream and sampler seed, so replicates
-    are independent and the whole table is reproducible from ``seed``.
+    |log V_full - log V_plugin|.  The defense-side chains of all replicates
+    of one grid point run as one lockstep batch.  Rows come back sorted by
+    (n, replicate).  Each cell's simulation and sampler streams are keyed by
+    (``seed``, grid index, replicate, chain) alone, so replicates are
+    independent, a row does not depend on how many replicates run, and the
+    whole table is reproducible from ``seed``.
     ``on_evidence(n, replicate, evidence)`` is called per cell when given
     (used by the CLI to optionally persist the simulated datasets).
     """
     grid = [int(n) for n in n_grid]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"population grid must be strictly ascending, got {grid}")
-    if replicates < 1:
-        raise ConfigError("replicates must be >= 1")
+    if not 1 <= replicates < 2**16 or len(grid) >= 2**16 - 1:
+        raise ConfigError("need 1 to 65535 replicates and fewer than 65535 grid points")
 
     if specific_prior is None or alternative_prior is None:
         default_spec, default_alt = _study_priors(params.dim)
         specific_prior = specific_prior or default_spec
         alternative_prior = alternative_prior or default_alt
 
+    settings = mcmc.with_seed(seed)
     rows: list[ConvergenceRow] = []
     for n_idx, n in enumerate(grid):
         cell_design = replace(design, n_sources=n, trace_model=TRACE_FROM_SPECIFIC)
-        for rep in range(replicates):
+        labels = [f"(n={n}, replicate={rep})" for rep in range(replicates)]
+        jobs = [_study_job(n_idx, rep) for rep in range(replicates)]
+        cells = []
+        for rep, label in enumerate(labels):
             sim_rng = RngStream(seed, stream_id(PURPOSE_SIMULATION, n_idx, rep))
-            run_settings = mcmc.with_seed(seed + 1 + n_idx * replicates + rep)
             try:
                 evidence = simulate_evidence(params, cell_design, sim_rng)
                 if on_evidence is not None:
                     on_evidence(n, rep, evidence)
-                result = evaluate_scenario(
-                    evidence,
-                    specific_prior,
-                    alternative_prior,
-                    run_settings,
-                    scenario=f"study-n{n}-rep{rep}",
-                )
+                groups = np.array([g for _, g in evidence.alternative_groups()])
+                estimate = plugin_estimates(groups)
             except SpecSourceError as exc:
-                raise type(exc)(f"(n={n}, replicate={rep}): {exc}") from exc
-            report = result.report
+                raise type(exc)(f"{label}: {exc}") from exc
+            # keep the matrices only: a whole grid point's evidence sets are large
+            cells.append((evidence.specific_matrix(), evidence.trace_matrix(), groups, estimate))
+        defense = sample_alternative(
+            [groups for _, _, groups, _ in cells],
+            alternative_prior,
+            settings,
+            jobs=jobs,
+            labels=labels,
+        )
+        for rep, (controls, trace, _, estimate) in enumerate(cells):
+            try:
+                prosecution = gibbs_specific(controls, specific_prior, settings, job=jobs[rep])
+                numerator = log_numerator(trace, prosecution).log_value
+                log_v_plugin = numerator - log_denominator_plugin(trace, estimate).log_value
+                log_v_full = numerator - log_denominator_full(trace, defense[rep]).log_value
+            except SpecSourceError as exc:
+                raise type(exc)(f"{labels[rep]}: {exc}") from exc
             rows.append(
                 ConvergenceRow(
                     n=n,
                     replicate=rep,
-                    log_v_full=report.log_v_full,
-                    log_v_plugin=report.log_v_plugin,
-                    gap=abs(report.log_v_full - report.log_v_plugin),
+                    log_v_full=log_v_full,
+                    log_v_plugin=log_v_plugin,
+                    gap=abs(log_v_full - log_v_plugin),
                 )
             )
     rows.sort(key=lambda r: (r.n, r.replicate))

@@ -17,7 +17,6 @@ import warnings
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dtrtrs
 
 from .errors import NotSpdError
 
@@ -27,7 +26,7 @@ __all__ = [
     "SpdMatrix",
     "as_vector",
     "compound_logpdf",
-    "invwishart_from_chol",
+    "invwishart_bartlett",
     "log_mean_exp",
     "mvn_logpdf",
     "sample_inverse_wishart",
@@ -192,35 +191,26 @@ def sample_mvn(mu, sigma, rng: RngStream, size: int | None = None) -> np.ndarray
     return draws[0] if size is None else draws
 
 
-def _tri_index_cache(k: int) -> tuple[np.ndarray, np.ndarray]:
-    cached = _TRI_CACHE.get(k)
-    if cached is None:
-        cached = _TRI_CACHE[k] = np.tril_indices(k, -1)
-    return cached
+def invwishart_bartlett(chol_phi: np.ndarray, chi2: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Inverse-Wishart draws by the Bartlett construction from given variates.
 
-
-_TRI_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def invwishart_from_chol(chol_phi: np.ndarray, nu: float, gen) -> np.ndarray:
-    """Bartlett-construction inverse-Wishart draw given chol(phi); raw array.
-
-    Consumes one chisquare(k) vector then one standard_normal(k(k-1)/2)
-    vector from ``gen``; callers relying on stream reproducibility depend on
-    that order.
+    ``chol_phi`` is the lower Cholesky factor C of the scale, shape (k, k)
+    or a stack (..., k, k).  Column i of ``chi2`` (shape (..., k)) is a
+    chi-square variate with nu - i degrees of freedom; ``normals`` (shape
+    (..., k(k-1)/2)) are standard normals filling the strict lower triangle
+    of A row by row.  With W = A A^T ~ Wishart(I, nu), each draw is
+    C (A A^T)^-1 C^T, returned as a (..., k, k) stack.
     """
-    k = chol_phi.shape[0]
-    # W = A A^T ~ Wishart(I, nu); draw = C (A A^T)^{-1} C^T with C = chol(phi).
-    a = np.zeros((k, k))
-    dfs = nu - np.arange(k)
-    a[np.diag_indices(k)] = np.sqrt(gen.chisquare(dfs))
-    if k > 1:
-        rows, cols = _tri_index_cache(k)
-        a[rows, cols] = gen.standard_normal(k * (k - 1) // 2)
-    t, info = dtrtrs(a, chol_phi.T, lower=1)
-    if info != 0:
-        raise NotSpdError("inverse-Wishart draw produced a singular factor")
-    return t.T @ t
+    k = chi2.shape[-1]
+    a = np.zeros(chi2.shape[:-1] + (k * k,))
+    a[..., :: k + 1] = np.sqrt(chi2)
+    a[..., [i * k + j for i in range(k) for j in range(i)]] = normals
+    a = a.reshape(chi2.shape + (k,))
+    try:
+        t = np.linalg.solve(a, np.swapaxes(chol_phi, -1, -2))
+    except np.linalg.LinAlgError as exc:
+        raise NotSpdError("inverse-Wishart draw produced a singular factor") from exc
+    return t.swapaxes(-1, -2) @ t
 
 
 def sample_inverse_wishart(phi, nu: float, rng: RngStream) -> SpdMatrix:
@@ -236,7 +226,10 @@ def sample_inverse_wishart(phi, nu: float, rng: RngStream) -> SpdMatrix:
     nu = float(nu)
     if not nu > k - 1:
         raise ValueError(f"degrees of freedom must exceed k-1 = {k - 1}, got {nu}")
-    return SpdMatrix(invwishart_from_chol(spd.chol, nu, rng.generator))
+    gen = rng.generator
+    chi2 = gen.chisquare(nu - np.arange(k))
+    normals = gen.standard_normal(k * (k - 1) // 2)
+    return SpdMatrix(invwishart_bartlett(spd.chol, chi2, normals))
 
 
 def _batched_chol(covs: np.ndarray) -> np.ndarray:

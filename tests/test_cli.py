@@ -3,9 +3,11 @@ import re
 
 import numpy as np
 
-from specsource.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from specsource.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 from specsource.gibbs import McmcSettings, SpecificPrior, gibbs_specific, write_draws
 from specsource.stats import SpdMatrix
+
+from test_gibbs import negate_first_variance
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURE = REPO_ROOT / "data" / "glass_sim_class1.csv"
@@ -84,6 +86,17 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--config", str(cfg)]) == EXIT_OK
         body = (tmp_path / "out" / "report.txt").read_text()
         assert "V (plug-in)" in body and "V (full)" in body
+
+    def test_low_acceptance_exits_4(self, tmp_path, capsys):
+        # a specific-source prior mean pinned far from the controls
+        cfg = quick_config(tmp_path)
+        cfg.write_text(
+            cfg.read_text()
+            + "specific_prior:\n  mean: [5, 5, 5]\n  mean_covariance: 1.0e-8\n"
+            "  scale: {diagonal: [0.01, 0.00005, 0.0005]}\n  df: 3\n"
+        )
+        assert main(["evaluate", "--config", str(cfg)]) == EXIT_NUMERICAL
+        assert "prosecution-side sampler, chain 0: acceptance rate" in capsys.readouterr().err
 
     def test_bad_scenario_exits_3(self, tmp_path):
         cfg = quick_config(tmp_path)
@@ -168,6 +181,12 @@ class TestDiagnoseCommand:
         path.write_bytes(blob[: int(len(blob) * 0.7)])
         assert main(["diagnose", "--draws", str(path)]) == EXIT_DATA
         assert "byte offset" in capsys.readouterr().err
+
+    def test_non_spd_stored_covariance_exits_3(self, tmp_path, capsys):
+        path = self.make_draws(tmp_path)
+        path.write_text(negate_first_variance(path.read_text(), "sigma_s_1_1"))
+        assert main(["diagnose", "--draws", str(path)]) == EXIT_DATA
+        assert "corrupt draw file" in capsys.readouterr().err
 
     def test_row_count_mismatch_exits_3(self, tmp_path, capsys):
         path = self.make_draws(tmp_path)

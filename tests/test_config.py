@@ -132,6 +132,22 @@ specific_prior:
         assert f"configuration error: {key} must be numeric" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("simulate", "seed: 1\nstudy:\n  grid: [10]\n  design: [5]\n", "study.design"),
+            ("evaluate", BASIC.replace("  trace:", "  exclude_sources: 5\n  trace:"),
+             "scenario.exclude_sources"),
+        ],
+    )
+    def test_wrong_container_type_names_its_key(self, tmp_path, capsys, command, text, key):
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigError, match=f"^{key} must be a"):
+            load_run_config(path)
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        assert f"configuration error: {key} must be a" in capsys.readouterr().err
+
+
 class TestConfigHash:
     def test_output_excluded(self):
         a = config_hash({"seed": 1, "output": "x", "data": "d"})

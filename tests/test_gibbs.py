@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.stats import invgamma, norm
 
-from specsource.errors import ConfigError, DataError, DegenerateChainError
+from specsource.errors import ConfigError, DataError, DegenerateChainError, NumericalError
 from specsource.gibbs import (
     DEFENSE,
     PROSECUTION,
@@ -13,6 +15,7 @@ from specsource.gibbs import (
     gibbs_alternative,
     gibbs_specific,
     read_draws,
+    sample_alternative,
     write_draws,
 )
 from specsource.stats import RngStream, SpdMatrix, sample_mvn
@@ -48,6 +51,16 @@ def simulate_groups(n, m, k, mu, sigma_b_diag, sigma_w_diag, seed=5):
         noise = sample_mvn(np.zeros(k), np.diag(sigma_w_diag), stream, size=m)
         groups.append(mu + effects[i] + noise)
     return groups
+
+
+def negate_first_variance(text, column):
+    """Set ``column`` of a draw file's first row to -1, so that draw is not SPD."""
+    lines = text.splitlines(True)
+    head = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    cells = lines[head + 1].split(",")
+    cells[lines[head].split(",").index(column)] = "-1.0"
+    lines[head + 1] = ",".join(cells)
+    return "".join(lines)
 
 
 class TestMcmcSettings:
@@ -127,6 +140,54 @@ class TestGibbsSpecific:
         sig_mean = sig.mean(axis=0)
         sig_se = sig.std(axis=0, ddof=1) / np.sqrt(draws.size)
         assert np.all(np.abs(sig_mean - target) <= 3 * sig_se + 1e-9)
+
+    def test_k1_posterior_moments_match_quadrature(self):
+        # p(s | y) is Inv-Gamma((df + m - 1)/2, (phi + S)/2)(s) N(ybar; mu0, lam0 + s/m)
+        # and E[mu | s, y] = mu0 + lam0 / (lam0 + s/m) (ybar - mu0)
+        y = np.array([[2.1], [2.9], [2.4], [3.3]])
+        mu0, lam0, phi, df = 0.5, 1.5, 0.4, 2.5
+        prior = SpecificPrior(
+            mean=[mu0], mean_cov=SpdMatrix([[lam0]]), cov_scale=SpdMatrix([[phi]]), cov_df=df
+        )
+        m, ybar = y.shape[0], float(y.mean())
+        scatter = float(np.sum((y - ybar) ** 2))
+        proposal = invgamma((df + m - 1) / 2, scale=(phi + scatter) / 2)
+
+        def weight(s):
+            return proposal.pdf(s) * norm.pdf(ybar, mu0, np.sqrt(lam0 + s / m))
+
+        def expect(f):
+            return quad(lambda s: f(s) * weight(s), 0, np.inf)[0] / quad(weight, 0, np.inf)[0]
+
+        exact_s = expect(lambda s: s)
+        exact_mu = expect(lambda s: mu0 + lam0 / (lam0 + s / m) * (ybar - mu0))
+        draws = gibbs_specific(y, prior, McmcSettings(iterations=40000, burn_in=0, seed=23))
+        s = draws.cov("sigma_s")[:, 0, 0]
+        mu = draws.means[:, 0]
+        assert abs(s.mean() - exact_s) <= 4 * s.std() / np.sqrt(s.size)
+        assert abs(mu.mean() - exact_mu) <= 4 * mu.std() / np.sqrt(mu.size)
+
+    def test_draws_are_independent_of_the_chain_count(self):
+        y = np.random.default_rng(4).normal(size=(5, 2))
+        one = gibbs_specific(y, small_specific_prior(), QUICK)
+        two = gibbs_specific(
+            y, small_specific_prior(), McmcSettings(iterations=3000, burn_in=500, seed=42, chains=2)
+        )
+        first = two.chain_slices()[0]
+        assert np.array_equal(one.means, two.means[first])
+        assert np.array_equal(one.cov("sigma_s"), two.cov("sigma_s")[first])
+
+    def test_low_acceptance_raises_numerical_error(self):
+        # a prior mean pinned far from the controls accepts almost nothing
+        prior = SpecificPrior(
+            mean=np.zeros(2),
+            mean_cov=SpdMatrix.diagonal(1e-4, dim=2),
+            cov_scale=SpdMatrix.diagonal(0.01, dim=2),
+            cov_df=2.0,
+        )
+        y = 5.0 + 0.1 * np.random.default_rng(6).normal(size=(4, 2))
+        with pytest.raises(NumericalError, match="sampler, chain 0: acceptance rate"):
+            gibbs_specific(y, prior, QUICK)
 
     def test_cross_chain_consistency(self):
         y = np.random.default_rng(4).normal(size=(5, 2))
@@ -212,6 +273,72 @@ class TestGibbsAlternative:
             assert np.all(np.abs(stack.mean(axis=0) - target) <= 3 * se + 1e-9)
 
 
+class TestSampleAlternative:
+    SETTINGS = McmcSettings(iterations=50, burn_in=10, seed=31)
+
+    def datasets(self, count, sizes=(2, 5, 3, 5), k=2):
+        rng = np.random.default_rng(9)
+        return [[rng.normal(size=(m, k)) + rng.normal(size=k) for m in sizes] for _ in range(count)]
+
+    def test_chain_is_bit_identical_to_the_chain_run_alone(self):
+        # 50 iterations: three full random-number blocks and a partial one
+        data = self.datasets(5)
+        batch = sample_alternative(data, small_alt_prior(), self.SETTINGS, jobs=[7, 8, 9, 10, 11])
+        alone = sample_alternative([data[2]], small_alt_prior(), self.SETTINGS, jobs=[9])[0]
+        assert np.array_equal(batch[2].means, alone.means)
+        for name in ("sigma_b", "sigma_w"):
+            assert np.array_equal(batch[2].cov(name), alone.cov(name))
+
+    def test_chains_of_one_data_set_differ(self):
+        data = self.datasets(1)
+        settings = McmcSettings(iterations=50, burn_in=10, seed=31, chains=3)
+        draws = gibbs_alternative(data[0], small_alt_prior(), settings)
+        assert draws.size == 3 * settings.kept_per_chain
+        first, second, _ = draws.chain_slices()
+        assert not np.array_equal(draws.means[first], draws.means[second])
+
+    def test_one_layout_required(self):
+        with pytest.raises(DataError, match="one group-size layout"):
+            sample_alternative(
+                [self.datasets(1)[0], self.datasets(1, sizes=(2, 5, 3, 4))[0]],
+                small_alt_prior(),
+                self.SETTINGS,
+                jobs=[1, 2],
+            )
+
+    def test_mean_mixes_when_between_dominates_within(self):
+        # Sigma_b / Sigma_w = 10^4, the glass stand-in's regime: the blocked
+        # update draws mu with the source effects integrated out
+        groups = simulate_groups(14, 5, 3, np.zeros(3), [1.0, 1.0, 1.0], [1e-4] * 3, seed=3)
+        settings = McmcSettings(iterations=4000, burn_in=0, seed=8)
+        draws = gibbs_alternative(groups, AlternativePrior.glass_default(), settings)
+        for j in range(3):
+            assert effective_sample_size(draws.means[:, j]) >= draws.size / 2
+
+    def test_failure_names_the_chain_and_iteration(self, monkeypatch):
+        import specsource.gibbs as gibbs_module
+
+        original = gibbs_module.invwishart_bartlett
+        calls = []
+
+        def corrupt_chain_three(*args):
+            out = original(*args)
+            calls.append(None)
+            if len(calls) == 5:
+                out[1, 3] = -np.eye(out.shape[-1])
+            return out
+
+        monkeypatch.setattr(gibbs_module, "invwishart_bartlett", corrupt_chain_three)
+        with pytest.raises(NumericalError, match=r"^d3 chain 0, iteration 5: "):
+            sample_alternative(
+                self.datasets(4),
+                small_alt_prior(),
+                self.SETTINGS,
+                jobs=[1, 2, 3, 4],
+                labels=["d0", "d1", "d2", "d3"],
+            )
+
+
 class TestEffectiveSampleSize:
     def test_iid_chain_close_to_n(self):
         n = 10**4
@@ -289,8 +416,15 @@ class TestDrawSerialization:
             lambda text: text.replace("# iterations: 200", "# iterations: lots"),
             lambda text: text.replace("# burn_in: 50", "# burn_in: 500"),
             lambda text: text.replace("# k: 3", "# k: 2"),
+            lambda text: negate_first_variance(text, "sigma_s_1_1"),
         ],
-        ids=["ten-rows-short", "non-integer-iterations", "burn-in-too-large", "wrong-k"],
+        ids=[
+            "ten-rows-short",
+            "non-integer-iterations",
+            "burn-in-too-large",
+            "wrong-k",
+            "non-spd-covariance",
+        ],
     )
     def test_inconsistent_metadata_is_data_error(self, tmp_path, corrupt):
         y = np.random.default_rng(2).normal(size=(3, 3)) * 0.1

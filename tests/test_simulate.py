@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from specsource.errors import ConfigError
+from specsource.errors import ConfigError, NumericalError
 from specsource.evidence import validate_evidence
 from specsource.gibbs import McmcSettings
 from specsource.simulate import (
@@ -116,6 +116,31 @@ class TestConvergenceStudy:
         a = convergence_study(*args, seed=5)
         b = convergence_study(*args, seed=5)
         assert a == b
+
+    def test_rows_do_not_depend_on_the_replicate_count(self):
+        args = (default_study_params(), default_study_design(), [3, 5])
+        two = convergence_study(*args, 2, TINY_MCMC, seed=13)
+        three = convergence_study(*args, 3, TINY_MCMC, seed=13)
+        assert two == [r for r in three if r.replicate < 2]
+
+    def test_sampler_failure_names_the_cell(self, monkeypatch):
+        import specsource.gibbs as gibbs_module
+
+        original = gibbs_module.invwishart_bartlett
+        calls = []
+
+        def corrupt_replicate_one(*args):
+            out = original(*args)
+            calls.append(None)
+            if len(calls) == 5:
+                out[1, 1] = -np.eye(out.shape[-1])
+            return out
+
+        monkeypatch.setattr(gibbs_module, "invwishart_bartlett", corrupt_replicate_one)
+        with pytest.raises(NumericalError, match=r"\(n=3, replicate=1\) chain 0, iteration 5: "):
+            convergence_study(
+                default_study_params(), default_study_design(), [3], 2, TINY_MCMC, seed=2
+            )
 
     def test_descending_grid_rejected(self):
         with pytest.raises(ConfigError, match="ascending"):
