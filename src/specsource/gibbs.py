@@ -201,7 +201,8 @@ class DrawSet:
     ``means`` has shape (T, k); each entry of ``covariances`` maps a
     parameter name to a (T, k, k) stack.  T = chains * kept_per_chain, laid
     out chain-major in (chain, iteration) order.  Construction verifies the
-    draw count and that every covariance draw admits a Cholesky factor.
+    draw count, that every draw is finite and that every covariance draw
+    admits a Cholesky factor.
     """
 
     model: str
@@ -232,6 +233,10 @@ class DrawSet:
                 raise NumericalError(
                     f"covariance draw in {name!r} is not positive definite"
                 ) from exc
+            if not np.isfinite(stack).all():
+                raise NumericalError(f"covariance draw in {name!r} is not finite")
+        if not np.isfinite(means).all():
+            raise NumericalError("mean draw is not finite")
 
     @property
     def size(self) -> int:
@@ -250,10 +255,10 @@ class DrawSet:
 
 
 class _ChainFailure(NumericalError):
-    """A batched factorization failed; ``chain`` is the first chain it failed in."""
+    """A batched step failed; ``chain`` is the first chain it failed in."""
 
-    def __init__(self, chain: int, what: str):
-        super().__init__(f"{what} is not positive definite")
+    def __init__(self, chain: int, message: str):
+        super().__init__(message)
         self.chain = chain
 
 
@@ -269,7 +274,8 @@ def _factor(routine, stack: np.ndarray, what: str) -> np.ndarray:
             try:
                 routine(stack[idx])
             except np.linalg.LinAlgError:
-                raise _ChainFailure(idx[-1] if idx else 0, what) from None
+                chain = idx[-1] if idx else 0
+                raise _ChainFailure(chain, f"{what} is not positive definite") from None
         raise
 
 
@@ -514,6 +520,10 @@ def sample_alternative(
                 chi2[:, j].reshape(n_chains, 2, k).swapaxes(0, 1),
                 z[:, k + n * k :].reshape(n_chains, 2, tri).swapaxes(0, 1),
             )
+            # overflow does not make a factorization fail; stop at its first sign
+            finite = np.isfinite(sigma).all(axis=(0, 2, 3))
+            if not finite.all():
+                raise _ChainFailure(int(np.argmin(finite)), "covariance draw is not finite")
         except NumericalError as exc:
             where = f"iteration {it}"
             if isinstance(exc, _ChainFailure):

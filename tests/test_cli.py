@@ -7,7 +7,7 @@ from specsource.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 from specsource.gibbs import McmcSettings, SpecificPrior, gibbs_specific, write_draws
 from specsource.stats import SpdMatrix
 
-from test_gibbs import negate_first_variance
+from test_gibbs import edit_first_row
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURE = REPO_ROOT / "data" / "glass_sim_class1.csv"
@@ -184,7 +184,7 @@ class TestDiagnoseCommand:
 
     def test_non_spd_stored_covariance_exits_3(self, tmp_path, capsys):
         path = self.make_draws(tmp_path)
-        path.write_text(negate_first_variance(path.read_text(), "sigma_s_1_1"))
+        path.write_text(edit_first_row(path.read_text(), "sigma_s_1_1", "-1.0"))
         assert main(["diagnose", "--draws", str(path)]) == EXIT_DATA
         assert "corrupt draw file" in capsys.readouterr().err
 

@@ -53,12 +53,12 @@ def simulate_groups(n, m, k, mu, sigma_b_diag, sigma_w_diag, seed=5):
     return groups
 
 
-def negate_first_variance(text, column):
-    """Set ``column`` of a draw file's first row to -1, so that draw is not SPD."""
+def edit_first_row(text, column, value):
+    """Set ``column`` of a draw file's first row to the text ``value``."""
     lines = text.splitlines(True)
     head = next(i for i, line in enumerate(lines) if not line.startswith("#"))
     cells = lines[head + 1].split(",")
-    cells[lines[head].split(",").index(column)] = "-1.0"
+    cells[lines[head].split(",").index(column)] = value
     lines[head + 1] = ",".join(cells)
     return "".join(lines)
 
@@ -315,6 +315,12 @@ class TestSampleAlternative:
         for j in range(3):
             assert effective_sample_size(draws.means[:, j]) >= draws.size / 2
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflow_raises_numerical_error(self):
+        groups = [np.array([[0.0, 0.0], [1e200, 1e200]]), np.array([[0.0, 0.0], [1.0, 1.0]])]
+        with pytest.raises(NumericalError, match="^chain 0, iteration 0: .* not finite"):
+            gibbs_alternative(groups, small_alt_prior(), self.SETTINGS)
+
     def test_failure_names_the_chain_and_iteration(self, monkeypatch):
         import specsource.gibbs as gibbs_module
 
@@ -416,7 +422,8 @@ class TestDrawSerialization:
             lambda text: text.replace("# iterations: 200", "# iterations: lots"),
             lambda text: text.replace("# burn_in: 50", "# burn_in: 500"),
             lambda text: text.replace("# k: 3", "# k: 2"),
-            lambda text: negate_first_variance(text, "sigma_s_1_1"),
+            lambda text: edit_first_row(text, "sigma_s_1_1", "-1.0"),
+            lambda text: edit_first_row(text, "mu_2", "nan"),
         ],
         ids=[
             "ten-rows-short",
@@ -424,6 +431,7 @@ class TestDrawSerialization:
             "burn-in-too-large",
             "wrong-k",
             "non-spd-covariance",
+            "non-finite-mean",
         ],
     )
     def test_inconsistent_metadata_is_data_error(self, tmp_path, corrupt):
@@ -438,6 +446,17 @@ class TestDrawSerialization:
 
 
 class TestDrawSetValidation:
+    def test_non_finite_draw_rejected(self):
+        stack = np.tile(np.eye(2), (4, 1, 1))
+        stack[1, 0, 0] = np.nan
+        with pytest.raises(NumericalError, match="not finite"):
+            DrawSet(
+                PROSECUTION,
+                np.zeros((4, 2)),
+                {"sigma_s": stack},
+                McmcSettings(iterations=5, burn_in=1, seed=0),
+            )
+
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="draw count"):
             DrawSet(
