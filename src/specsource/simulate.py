@@ -217,8 +217,8 @@ def convergence_study(
     grid = [int(n) for n in n_grid]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"population grid must be strictly ascending, got {grid}")
-    if not 1 <= replicates < 2**16 or len(grid) >= 2**16 - 1:
-        raise ConfigError("need 1 to 65535 replicates and fewer than 65535 grid points")
+    if not 1 <= replicates < 2**16:
+        raise ConfigError(f"replicates must be between 1 and 65535, got {replicates}")
 
     if specific_prior is None or alternative_prior is None:
         default_spec, default_alt = _study_priors(params.dim)
