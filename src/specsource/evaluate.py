@@ -9,9 +9,13 @@ control sample from the specific source.
 
 Every trace density, numerator and both denominators alike, comes from
 the one shared-effect kernel :func:`specsource.stats.compound_logpdf`,
-evaluated in the trace's sufficient statistics for a whole DrawSet at once
-(two batched k x k Cholesky factorizations per draw, whatever the number of
-trace fragments).  Monte Carlo standard errors are ESS-adjusted on the log
+evaluated in the trace's sufficient statistics for a whole DrawSet at once.
+The kernel reuses the Cholesky factors the DrawSet computed when it
+validated its draws, and derives the within stack's log-determinants and
+inverses on the first trace scored.  Each trace then costs one forward
+solve per draw for the numerator, plus one k x k factorization of
+Sw + m Sb per draw for the full denominator, whatever the number of trace
+fragments.  Monte Carlo standard errors are ESS-adjusted on the log
 scale via the delta method.  Numerator and denominator chains live on
 disjoint RNG streams, so the combined uncertainty of a log Bayes factor is
 a simple quadrature sum.
@@ -198,7 +202,7 @@ def log_numerator(e_u, draws: DrawSet) -> LogDensityEstimate:
         raise DataError(
             f"trace dimension {points.shape[1]} does not match draws ({draws.dim})"
         )
-    values = compound_logpdf(points, draws.means, None, draws.cov("sigma_s"))
+    values = compound_logpdf(points, draws.means, None, draws.spd_stack("sigma_s"))
     log_value = log_mean_exp(values)
     mc_se = _mc_se_of_log_mean(values, draws.chain_slices())
     if log_value == -np.inf:
@@ -233,7 +237,7 @@ def log_denominator_full(e_u, draws: DrawSet) -> LogDensityEstimate:
             f"trace dimension {k} does not match draws ({draws.dim})"
         )
     values = compound_logpdf(
-        points, draws.means, draws.cov("sigma_b"), draws.cov("sigma_w")
+        points, draws.means, draws.cov("sigma_b"), draws.spd_stack("sigma_w")
     )
     log_value = log_mean_exp(values)
     mc_se = _mc_se_of_log_mean(values, draws.chain_slices())

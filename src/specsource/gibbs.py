@@ -48,8 +48,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .errors import ConfigError, DataError, DegenerateChainError, NumericalError
-from .stats import RngStream, SpdMatrix, as_vector, invwishart_bartlett
+from .errors import ConfigError, DataError, DegenerateChainError, NotSpdError, NumericalError
+from .stats import RngStream, SpdMatrix, SpdStack, as_vector, invwishart_bartlett
 
 __all__ = [
     "AlternativePrior",
@@ -202,13 +202,17 @@ class DrawSet:
     parameter name to a (T, k, k) stack.  T = chains * kept_per_chain, laid
     out chain-major in (chain, iteration) order.  Construction verifies the
     draw count, that every draw is finite and that every covariance draw
-    admits a Cholesky factor.
+    admits a Cholesky factor.  The draw set owns the factors that check
+    computes, as one :class:`SpdStack` per covariance (``spd_stack``), so
+    no stack is factored again when traces are scored against it; the
+    stacks must not be mutated after construction.
     """
 
     model: str
     means: np.ndarray
     covariances: dict[str, np.ndarray] = field(default_factory=dict)
     settings: McmcSettings = field(default_factory=McmcSettings)
+    _factored: dict[str, SpdStack] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.model not in (PROSECUTION, DEFENSE):
@@ -222,21 +226,23 @@ class DrawSet:
                 f"(expected {expected})"
             )
         k = means.shape[1]
+        factored = {}
         for name, stack in self.covariances.items():
             stack = np.asarray(stack, dtype=float)
             self.covariances[name] = stack
             if stack.shape != (means.shape[0], k, k):
                 raise ValueError(f"covariance stack {name!r} has shape {stack.shape}")
+            if not np.isfinite(stack).all():
+                raise NumericalError(f"covariance draw in {name!r} is not finite")
             try:
-                np.linalg.cholesky(stack)
-            except np.linalg.LinAlgError as exc:
+                factored[name] = SpdStack(stack)
+            except NotSpdError as exc:
                 raise NumericalError(
                     f"covariance draw in {name!r} is not positive definite"
                 ) from exc
-            if not np.isfinite(stack).all():
-                raise NumericalError(f"covariance draw in {name!r} is not finite")
         if not np.isfinite(means).all():
             raise NumericalError("mean draw is not finite")
+        object.__setattr__(self, "_factored", factored)
 
     @property
     def size(self) -> int:
@@ -248,6 +254,10 @@ class DrawSet:
 
     def cov(self, name: str) -> np.ndarray:
         return self.covariances[name]
+
+    def spd_stack(self, name: str) -> SpdStack:
+        """The covariance stack ``name`` with the factors validation computed."""
+        return self._factored[name]
 
     def chain_slices(self) -> list[slice]:
         kept = self.settings.kept_per_chain
@@ -597,6 +607,10 @@ def effective_sample_size(chain) -> float:
 
 _FORMAT_TAG = "specsource-draws v1"
 
+#: Rows formatted into one string per write: as fast as one write of the
+#: whole body, without holding the whole body in memory.
+_WRITE_BLOCK = 1024
+
 
 def _tri_labels(name: str, k: int) -> list[str]:
     return [f"{name}_{i + 1}_{j + 1}" for i in range(k) for j in range(i + 1)]
@@ -627,11 +641,13 @@ def write_draws(draws: DrawSet, path) -> None:
             f"# thin: {s.thin}\n# chains: {s.chains}\n# seed: {s.seed}\n"
         )
         fh.write("chain,iteration," + ",".join(cols) + "\n")
-        for t in range(table.shape[0]):
-            chain, offset = divmod(t, kept)
-            iteration = s.burn_in + offset * s.thin
-            row = ",".join(f"{v:.17g}" for v in table[t])
-            fh.write(f"{chain},{iteration},{row}\n")
+        row = "%d,%d," + ",".join(["%.17g"] * table.shape[1]) + "\n"
+        for start in range(0, table.shape[0], _WRITE_BLOCK):
+            block = table[start : start + _WRITE_BLOCK].tolist()
+            fh.write("".join([
+                row % (t // kept, s.burn_in + (t % kept) * s.thin, *values)
+                for t, values in enumerate(block, start)
+            ]))
 
 
 def read_draws(path) -> DrawSet:

@@ -24,6 +24,7 @@ __all__ = [
     "LOG_2PI",
     "RngStream",
     "SpdMatrix",
+    "SpdStack",
     "as_vector",
     "compound_logpdf",
     "invwishart_bartlett",
@@ -241,6 +242,12 @@ def _batched_chol(covs: np.ndarray) -> np.ndarray:
         ) from exc
 
 
+def _log_det(lower: np.ndarray) -> np.ndarray:
+    """log-determinants of the matrices whose lower factors are the (T, k, k) ``lower``."""
+    diag = np.arange(lower.shape[-1])
+    return 2.0 * np.sum(np.log(lower[:, diag, diag]), axis=-1)
+
+
 def _forward_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``lower @ x = rhs`` for a (T, k, k) stack of lower-triangular factors.
 
@@ -256,6 +263,42 @@ def _forward_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+class SpdStack:
+    """A (T, k, k) stack of symmetric positive-definite matrices, factored once.
+
+    The constructor takes the lower Cholesky factor of every matrix and
+    raises :class:`NotSpdError` if one has none.  The log-determinants and
+    the inverses, each flattened to a row of length k*k so that tr(S^-1 A)
+    for a symmetric A is one mat-vec, are derived from the factors on first
+    use and cached.  ``values`` must not be mutated afterwards.
+    """
+
+    __slots__ = ("values", "chol", "_log_det", "_inv_flat")
+
+    def __init__(self, values):
+        arr = np.asarray(values, dtype=float)
+        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+            raise ValueError(f"expected a (T, k, k) stack, got shape {arr.shape}")
+        self.values = arr
+        self.chol = _batched_chol(arr)
+        self._log_det = None
+        self._inv_flat = None
+
+    @property
+    def log_det(self) -> np.ndarray:
+        if self._log_det is None:
+            self._log_det = _log_det(self.chol)
+        return self._log_det
+
+    @property
+    def inv_flat(self) -> np.ndarray:
+        if self._inv_flat is None:
+            inv_lower = _forward_solve(self.chol, np.eye(self.chol.shape[-1]))
+            inverse = np.ascontiguousarray(inv_lower.swapaxes(1, 2)) @ inv_lower
+            self._inv_flat = inverse.reshape(inverse.shape[0], -1)
+        return self._inv_flat
+
+
 def compound_logpdf(y, mu_a, sigma_b, sigma_w) -> float | np.ndarray:
     """Joint log-density of ``m`` measurement vectors sharing one source effect.
 
@@ -267,25 +310,28 @@ def compound_logpdf(y, mu_a, sigma_b, sigma_w) -> float | np.ndarray:
         log p(Y) = -1/2 [m k log 2pi + (m-1) log|Sw| + log|Sw + m Sb|
                          + tr(Sw^-1 S) + m (ybar-mu)^T (Sw + m Sb)^-1 (ybar-mu)]
 
-    so each parameter set costs two k x k Cholesky factorizations whatever
-    ``m`` is, and the number of rows has no cap.  ``sigma_b=None`` drops the
-    shared effect: the rows are then iid MVN(mu_a, sigma_w) and
-    ``Sw + m Sb`` reduces to ``Sw``.
+    so the number of rows has no cap.  ``sigma_b=None`` drops the shared
+    effect: the rows are then iid MVN(mu_a, sigma_w) and ``Sw + m Sb``
+    reduces to ``Sw``.
 
     One parameter set (``mu_a`` of shape (k,), covariances (k, k) or
     :class:`SpdMatrix`) gives a float; a stack of T sets ((T, k) means and
-    (T, k, k) covariances) gives shape (T,).  Rows are put in lexicographic
-    order before any reduction, so the value is bit-identical under every
-    permutation of the rows.  A covariance without a Cholesky factor raises
-    :class:`NotSpdError`.
+    (T, k, k) covariances) gives shape (T,).  ``sigma_w`` may be an
+    :class:`SpdStack`, whose factors, log-determinants and inverses are then
+    reused: a call costs one batched k x k Cholesky factorization of
+    ``Sw + m Sb`` (none without ``sigma_b``) and one forward solve, whatever
+    ``m`` is.  Raw covariances cost one more factorization, of ``Sw``.
+    Rows are put in lexicographic order before any reduction, so the value
+    is bit-identical under every permutation of the rows.  A covariance
+    without a Cholesky factor raises :class:`NotSpdError`.
     """
-    single = np.ndim(sigma_w) < 3
+    single = not isinstance(sigma_w, SpdStack) and np.ndim(sigma_w) < 3
     if single:
         w = _as_spd(sigma_w, name="sigma_w").values[None]
         b = None if sigma_b is None else _as_spd(sigma_b, name="sigma_b").values[None]
         means = as_vector(mu_a, dim=w.shape[-1], name="mu_a")[None]
     else:
-        w = np.asarray(sigma_w, dtype=float)
+        w = sigma_w.values if isinstance(sigma_w, SpdStack) else np.asarray(sigma_w, dtype=float)
         b = None if sigma_b is None else np.asarray(sigma_b, dtype=float)
         means = np.asarray(mu_a, dtype=float)
     t, k = w.shape[0], w.shape[-1]
@@ -303,18 +349,18 @@ def compound_logpdf(y, mu_a, sigma_b, sigma_w) -> float | np.ndarray:
     if m < 1:
         raise ValueError("need at least one measurement vector")
 
+    within = sigma_w if isinstance(sigma_w, SpdStack) else SpdStack(w)
     pts = pts[np.lexsort(pts.T[::-1])]
     ybar = pts.mean(axis=0)
     dev = pts - ybar
-    lower_w = _batched_chol(w)
-    lower_t = lower_w if b is None else _batched_chol(w + m * b)
+    lower_t = within.chol if b is None else _batched_chol(w + m * b)
     z = _forward_solve(lower_t, (ybar - means)[:, :, None])
     out = m * np.sum(z * z, axis=(1, 2))
     if m > 1:
-        inv_w = _forward_solve(lower_w, np.eye(k))
-        out += np.sum((inv_w @ (dev.T @ dev)) * inv_w, axis=(1, 2))
-    out += 2.0 * (m - 1) * np.sum(np.log(np.diagonal(lower_w, axis1=1, axis2=2)), axis=1)
-    out += 2.0 * np.sum(np.log(np.diagonal(lower_t, axis1=1, axis2=2)), axis=1)
+        # S is symmetric, so tr(Sw^-1 S) is the dot product of the flattened pair.
+        out += within.inv_flat @ (dev.T @ dev).ravel()
+    out += (m - 1) * within.log_det
+    out += within.log_det if b is None else _log_det(lower_t)
     out = -0.5 * (m * k * LOG_2PI + out)
     return float(out[0]) if single else out
 

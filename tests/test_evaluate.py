@@ -22,9 +22,12 @@ from specsource.gibbs import (
     DrawSet,
     McmcSettings,
     SpecificPrior,
+    gibbs_alternative,
     gibbs_specific,
+    read_draws,
+    write_draws,
 )
-from specsource.stats import SpdMatrix, compound_logpdf, mvn_logpdf
+from specsource.stats import SpdMatrix, compound_logpdf, log_mean_exp, mvn_logpdf
 
 from conftest import random_spd
 
@@ -57,6 +60,35 @@ def brute_force_moments(groups):
         between += np.outer(gm - grand, gm - grand)
     between = between / (n - 1) - within / m
     return grand, within, between
+
+
+#: Trace lengths the estimators are checked at: one fragment (no within
+#: scatter), the usual two, and a long trace.
+TRACE_LENGTHS = (1, 2, 20)
+
+
+def sampled_draws():
+    """A prosecution and a defense DrawSet from the samplers, at k = 3."""
+    rng = np.random.default_rng(11)
+    settings = McmcSettings(iterations=400, burn_in=100, seed=9, chains=2)
+    controls = 0.1 * rng.normal(size=(3, 3))
+    groups = [0.1 * rng.normal(size=(4, 3)) + rng.normal(size=3) for _ in range(6)]
+    return (
+        gibbs_specific(controls, SpecificPrior.glass_default(), settings),
+        gibbs_alternative(groups, AlternativePrior.glass_default(), settings),
+    )
+
+
+@pytest.fixture(scope="module")
+def draw_sets(tmp_path_factory):
+    """The sampled DrawSets as the samplers built them and as read back from files."""
+    sampled = sampled_draws()
+    reread = []
+    for draws in sampled:
+        path = tmp_path_factory.mktemp("draws") / "draws.csv"
+        write_draws(draws, path)
+        reread.append(read_draws(path))
+    return {"sampler": sampled, "file": tuple(reread)}
 
 
 def single_draw_set(model, mean, covs):
@@ -130,13 +162,14 @@ class TestLogNumerator:
         assert est.log_value == pytest.approx(expected, abs=1e-10)
         assert est.draws == 1
 
-    def test_batched_matches_loop(self, np_rng):
+    @pytest.mark.parametrize("m", TRACE_LENGTHS)
+    def test_batched_matches_loop(self, np_rng, m):
         t = 40
         settings = McmcSettings(iterations=t + 1, burn_in=1, seed=3)
         means = np_rng.normal(size=(t, 2))
         covs = np.stack([random_spd(np_rng, 2).values for _ in range(t)])
         draws = DrawSet(PROSECUTION, means, {"sigma_s": covs}, settings)
-        trace = np_rng.normal(size=(3, 2))
+        trace = np_rng.normal(size=(m, 2))
         est = log_numerator(trace, draws)
         per_draw = [
             float(np.sum(mvn_logpdf(trace, means[i], covs[i]))) for i in range(t)
@@ -197,14 +230,15 @@ class TestLogDenominatorFull:
             compound_logpdf(trace, mu, sb, sw), abs=1e-10
         )
 
-    def test_batched_matches_loop(self, np_rng):
+    @pytest.mark.parametrize("m", TRACE_LENGTHS)
+    def test_batched_matches_loop(self, np_rng, m):
         t = 25
         settings = McmcSettings(iterations=t + 1, burn_in=1, seed=4)
         means = np_rng.normal(size=(t, 2))
         sbs = np.stack([random_spd(np_rng, 2).values for _ in range(t)])
         sws = np.stack([random_spd(np_rng, 2).values for _ in range(t)])
         draws = DrawSet(DEFENSE, means, {"sigma_b": sbs, "sigma_w": sws}, settings)
-        trace = np_rng.normal(size=(2, 2))
+        trace = np_rng.normal(size=(m, 2))
         per_draw = np.array(
             [compound_logpdf(trace, means[i], sbs[i], sws[i]) for i in range(t)]
         )
@@ -224,6 +258,55 @@ class TestLogDenominatorFull:
         est = log_denominator_full(trace, draws)
         assert np.isfinite(est.log_value)
         assert np.isfinite(est.mc_se)
+
+
+class TestEstimatorsOnDrawSets:
+    """Both Monte Carlo estimators are the one kernel averaged over the raw stacks."""
+
+    @pytest.mark.parametrize("source", ["sampler", "file"])
+    @pytest.mark.parametrize("m", TRACE_LENGTHS)
+    def test_estimators_equal_the_kernel_on_raw_stacks(self, draw_sets, source, m):
+        prosecution, defense = draw_sets[source]
+        trace = 0.1 * np.random.default_rng(m).normal(size=(m, 3))
+        cases = [
+            (log_numerator(trace, prosecution),
+             compound_logpdf(trace, prosecution.means, None, prosecution.cov("sigma_s"))),
+            (log_denominator_full(trace, defense),
+             compound_logpdf(trace, defense.means, defense.cov("sigma_b"),
+                             defense.cov("sigma_w"))),
+        ]
+        for est, per_draw in cases:
+            # the same core on the same Cholesky factors: equal to the last bit
+            assert est.log_value == log_mean_exp(per_draw)
+            assert np.isfinite(est.mc_se)
+
+    def test_each_within_stack_is_factored_once(self, monkeypatch):
+        prosecution, defense = sampled_draws()
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            calls.append(a)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        prosecution = DrawSet(PROSECUTION, prosecution.means,
+                              dict(prosecution.covariances), prosecution.settings)
+        defense = DrawSet(DEFENSE, defense.means, dict(defense.covariances), defense.settings)
+        rng = np.random.default_rng(5)
+        for m in TRACE_LENGTHS:
+            trace = 0.1 * rng.normal(size=(m, 3))
+            log_numerator(trace, prosecution)
+            log_denominator_full(trace, defense)
+
+        def factorizations(stack):
+            return sum(a is stack for a in calls)
+
+        for draws, name in ((prosecution, "sigma_s"), (defense, "sigma_b"),
+                            (defense, "sigma_w")):
+            assert factorizations(draws.cov(name)) == 1, name
+        # the only other factorization is Sw + m Sb, once per defense trace
+        assert len(calls) == 3 + len(TRACE_LENGTHS)
 
 
 class TestEvaluateScenario:

@@ -8,7 +8,9 @@ from specsource.errors import NotSpdError, NumericalError
 from specsource.stats import (
     RngStream,
     SpdMatrix,
+    SpdStack,
     compound_logpdf,
+    invwishart_bartlett,
     log_mean_exp,
     mvn_logpdf,
     sample_inverse_wishart,
@@ -131,6 +133,15 @@ class TestSampleMvn:
             sample_mvn(np.zeros(2), [[1.0, 2.0], [2.0, 1.0]], RngStream(1))
 
 
+def inverse_wishart_stack(phi, nu, stream, n):
+    """``n`` IW(phi, nu) draws as one stack, from the variates of ``sample_inverse_wishart``."""
+    phi = SpdMatrix(phi)
+    k = phi.dim
+    chi2 = stream.generator.chisquare(nu - np.arange(k), size=(n, k))
+    normals = stream.generator.standard_normal((n, k * (k - 1) // 2))
+    return invwishart_bartlett(phi.chol, chi2, normals)
+
+
 class TestInverseWishart:
     def test_deterministic_given_stream(self):
         phi = SpdMatrix(np.diag([1.0, 2.0]))
@@ -145,13 +156,20 @@ class TestInverseWishart:
             draw = sample_inverse_wishart(phi, 3.0, stream)
             assert np.all(np.isfinite(draw.chol))
 
+    def test_wrapper_is_bartlett_on_its_stream(self, np_rng):
+        for k in (1, 2, 3):
+            phi = random_spd(np_rng, k)
+            nu = k + 1.5
+            got = sample_inverse_wishart(phi, nu, RngStream(31, k))
+            gen = RngStream(31, k).generator
+            chi2 = gen.chisquare(nu - np.arange(k))
+            normals = gen.standard_normal(k * (k - 1) // 2)
+            assert np.array_equal(got.values, invwishart_bartlett(phi.chol, chi2, normals))
+
     def test_univariate_mean(self):
         # IW(phi=2, nu=5) with k=1 has mean phi/(nu-k-1) = 2/3
         n = 10**5
-        stream = RngStream(21, 0)
-        draws = np.array(
-            [sample_inverse_wishart([[2.0]], 5.0, stream).values[0, 0] for _ in range(n)]
-        )
+        draws = inverse_wishart_stack([[2.0]], 5.0, RngStream(21, 0), n)[:, 0, 0]
         mc_se = draws.std(ddof=1) / np.sqrt(n)
         assert abs(draws.mean() - 2.0 / 3.0) < 3 * mc_se
 
@@ -161,13 +179,9 @@ class TestInverseWishart:
         for k in (2, 3):
             phi = random_spd(np_rng, k)
             nu = k + 2.5
-            stream = RngStream(500 + k, 0)
-            acc = np.zeros((k, k))
-            acc_sq = np.zeros((k, k))
-            for _ in range(n):
-                inv = np.linalg.inv(sample_inverse_wishart(phi, nu, stream).values)
-                acc += inv
-                acc_sq += inv * inv
+            inv = np.linalg.inv(inverse_wishart_stack(phi, nu, RngStream(500 + k, 0), n))
+            acc = inv.sum(axis=0)
+            acc_sq = (inv * inv).sum(axis=0)
             mean = acc / n
             sd = np.sqrt(np.maximum(acc_sq / n - mean**2, 0.0))
             target = nu * np.linalg.inv(phi.values)
@@ -243,6 +257,23 @@ class TestCompoundLogpdf:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             compound_logpdf(np.zeros((2, 3)), np.zeros(3), np.eye(3), np.eye(2))
+
+
+class TestSpdStack:
+    def test_derived_factors_match_numpy(self, np_rng):
+        stack = np.stack([random_spd(np_rng, 3).values for _ in range(6)])
+        spd = SpdStack(stack)
+        assert spd.values is stack
+        assert np.allclose(spd.chol @ spd.chol.swapaxes(1, 2), stack, rtol=1e-12, atol=0)
+        assert np.allclose(spd.log_det, np.linalg.slogdet(stack)[1], rtol=1e-12, atol=0)
+        inverse = np.linalg.inv(stack).reshape(6, 9)
+        assert np.allclose(spd.inv_flat, inverse, rtol=1e-10, atol=1e-14)
+
+    def test_rejects_indefinite_and_bad_shape(self):
+        with pytest.raises(NotSpdError, match="positive definite"):
+            SpdStack(np.stack([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]]))
+        with pytest.raises(ValueError, match="stack"):
+            SpdStack(np.eye(2))
 
 
 class TestLogMeanExp:
