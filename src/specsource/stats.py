@@ -266,21 +266,22 @@ def _forward_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 class SpdStack:
     """A (T, k, k) stack of symmetric positive-definite matrices, factored once.
 
-    The constructor takes the lower Cholesky factor of every matrix and
-    raises :class:`NotSpdError` if one has none.  The log-determinants and
-    the inverses, each flattened to a row of length k*k so that tr(S^-1 A)
-    for a symmetric A is one mat-vec, are derived from the factors on first
-    use and cached.  ``values`` must not be mutated afterwards.
+    The constructor takes the lower Cholesky factor of every matrix, unless
+    ``chol`` already holds them, and raises :class:`NotSpdError` if one has
+    none.  The log-determinants and the inverses, each flattened to a row
+    of length k*k so that tr(S^-1 A) for a symmetric A is one mat-vec, are
+    derived from the factors on first use and cached.  ``values`` must not
+    be mutated afterwards.
     """
 
     __slots__ = ("values", "chol", "_log_det", "_inv_flat")
 
-    def __init__(self, values):
+    def __init__(self, values, chol=None):
         arr = np.asarray(values, dtype=float)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ValueError(f"expected a (T, k, k) stack, got shape {arr.shape}")
         self.values = arr
-        self.chol = _batched_chol(arr)
+        self.chol = _batched_chol(arr) if chol is None else chol
         self._log_det = None
         self._inv_flat = None
 
@@ -318,20 +319,24 @@ def compound_logpdf(y, mu_a, sigma_b, sigma_w) -> float | np.ndarray:
     :class:`SpdMatrix`) gives a float; a stack of T sets ((T, k) means and
     (T, k, k) covariances) gives shape (T,).  ``sigma_w`` may be an
     :class:`SpdStack`, whose factors, log-determinants and inverses are then
-    reused: a call costs one batched k x k Cholesky factorization of
-    ``Sw + m Sb`` (none without ``sigma_b``) and one forward solve, whatever
-    ``m`` is.  Raw covariances cost one more factorization, of ``Sw``.
+    reused, or an :class:`SpdMatrix`, whose cached factor is: a call costs
+    one batched k x k Cholesky factorization of ``Sw + m Sb`` (none without
+    ``sigma_b``) and one forward solve, whatever ``m`` is.  A raw stack
+    costs one more factorization, of ``Sw``.
     Rows are put in lexicographic order before any reduction, so the value
     is bit-identical under every permutation of the rows.  A covariance
     without a Cholesky factor raises :class:`NotSpdError`.
     """
-    single = not isinstance(sigma_w, SpdStack) and np.ndim(sigma_w) < 3
+    within = sigma_w if isinstance(sigma_w, SpdStack) else None
+    single = within is None and np.ndim(sigma_w) < 3
     if single:
-        w = _as_spd(sigma_w, name="sigma_w").values[None]
+        spd_w = _as_spd(sigma_w, name="sigma_w")
+        within = SpdStack(spd_w.values[None], spd_w.chol[None])
+        w = within.values
         b = None if sigma_b is None else _as_spd(sigma_b, name="sigma_b").values[None]
-        means = as_vector(mu_a, dim=w.shape[-1], name="mu_a")[None]
+        means = as_vector(mu_a, dim=spd_w.dim, name="mu_a")[None]
     else:
-        w = sigma_w.values if isinstance(sigma_w, SpdStack) else np.asarray(sigma_w, dtype=float)
+        w = np.asarray(sigma_w, dtype=float) if within is None else within.values
         b = None if sigma_b is None else np.asarray(sigma_b, dtype=float)
         means = np.asarray(mu_a, dtype=float)
     t, k = w.shape[0], w.shape[-1]
@@ -349,7 +354,8 @@ def compound_logpdf(y, mu_a, sigma_b, sigma_w) -> float | np.ndarray:
     if m < 1:
         raise ValueError("need at least one measurement vector")
 
-    within = sigma_w if isinstance(sigma_w, SpdStack) else SpdStack(w)
+    if within is None:
+        within = SpdStack(w)
     pts = pts[np.lexsort(pts.T[::-1])]
     ybar = pts.mean(axis=0)
     dev = pts - ybar
