@@ -162,22 +162,22 @@ class TestLogNumerator:
         assert est.log_value == pytest.approx(expected, abs=1e-10)
         assert est.draws == 1
 
-    @pytest.mark.parametrize("m", TRACE_LENGTHS)
-    def test_batched_matches_loop(self, np_rng, m):
+    def test_batched_matches_loop(self, np_rng):
         t = 40
         settings = McmcSettings(iterations=t + 1, burn_in=1, seed=3)
         means = np_rng.normal(size=(t, 2))
         covs = np.stack([random_spd(np_rng, 2).values for _ in range(t)])
         draws = DrawSet(PROSECUTION, means, {"sigma_s": covs}, settings)
-        trace = np_rng.normal(size=(m, 2))
-        est = log_numerator(trace, draws)
-        per_draw = [
-            float(np.sum(mvn_logpdf(trace, means[i], covs[i]))) for i in range(t)
-        ]
-        peak = max(per_draw)
-        expected = peak + np.log(np.mean(np.exp(np.asarray(per_draw) - peak)))
-        assert est.log_value == pytest.approx(expected, abs=1e-10)
-        assert est.mc_se > 0
+        for m in (*TRACE_LENGTHS, 3):
+            trace = np_rng.normal(size=(m, 2))
+            est = log_numerator(trace, draws)
+            per_draw = [
+                float(np.sum(mvn_logpdf(trace, means[i], covs[i]))) for i in range(t)
+            ]
+            peak = max(per_draw)
+            expected = peak + np.log(np.mean(np.exp(np.asarray(per_draw) - peak)))
+            assert est.log_value == pytest.approx(expected, abs=1e-10), m
+            assert est.mc_se > 0
 
     def test_wrong_model_rejected(self, np_rng):
         draws = single_draw_set(
@@ -230,22 +230,22 @@ class TestLogDenominatorFull:
             compound_logpdf(trace, mu, sb, sw), abs=1e-10
         )
 
-    @pytest.mark.parametrize("m", TRACE_LENGTHS)
-    def test_batched_matches_loop(self, np_rng, m):
+    def test_batched_matches_loop(self, np_rng):
         t = 25
         settings = McmcSettings(iterations=t + 1, burn_in=1, seed=4)
         means = np_rng.normal(size=(t, 2))
         sbs = np.stack([random_spd(np_rng, 2).values for _ in range(t)])
         sws = np.stack([random_spd(np_rng, 2).values for _ in range(t)])
         draws = DrawSet(DEFENSE, means, {"sigma_b": sbs, "sigma_w": sws}, settings)
-        trace = np_rng.normal(size=(m, 2))
-        per_draw = np.array(
-            [compound_logpdf(trace, means[i], sbs[i], sws[i]) for i in range(t)]
-        )
-        peak = per_draw.max()
-        expected = peak + np.log(np.mean(np.exp(per_draw - peak)))
-        est = log_denominator_full(trace, draws)
-        assert est.log_value == pytest.approx(expected, abs=1e-10)
+        for m in TRACE_LENGTHS:
+            trace = np_rng.normal(size=(m, 2))
+            per_draw = np.array(
+                [compound_logpdf(trace, means[i], sbs[i], sws[i]) for i in range(t)]
+            )
+            peak = per_draw.max()
+            expected = peak + np.log(np.mean(np.exp(per_draw - peak)))
+            est = log_denominator_full(trace, draws)
+            assert est.log_value == pytest.approx(expected, abs=1e-10), m
 
     def test_long_trace_is_finite(self, np_rng):
         t, k = 30, 3
