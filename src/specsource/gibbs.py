@@ -39,6 +39,15 @@ stacked (C, k, k) arrays, each chain on its own data set and its own
 stream; random numbers come in fixed blocks per chain, so a chain's draws
 do not depend on which other chains run beside it.  Chains are merged in
 (chain, iteration) order.
+
+The Bartlett factors A of the inverse-Wishart draws depend on those random
+numbers alone, so each block of ``BLOCK_ITERATIONS`` sweeps starts by
+inverting all of its factors at once; a sweep then draws each covariance
+as (L A^-T)(L A^-T)^T, L the Cholesky factor of its posterior scale.
+Overflow, or a singular factor, yields a non-finite draw without making a
+factorization fail, so a block's draws are checked for finiteness once, at
+its end.  When a sweep fails, the block's earlier draws are checked first:
+the error names the chain and iteration of the first non-finite draw.
 """
 
 from __future__ import annotations
@@ -49,7 +58,16 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from .errors import ConfigError, DataError, DegenerateChainError, NotSpdError, NumericalError
-from .stats import RngStream, SpdMatrix, SpdStack, as_vector, invwishart_bartlett
+from .stats import (
+    RngStream,
+    SpdMatrix,
+    SpdStack,
+    as_vector,
+    bartlett_inverses,
+    forward_solve,
+    invwishart_bartlett,
+    invwishart_from_inverses,
+)
 
 __all__ = [
     "AlternativePrior",
@@ -289,6 +307,19 @@ def _factor(routine, stack: np.ndarray, what: str) -> np.ndarray:
         raise
 
 
+def _first_non_finite(block: np.ndarray, start: int) -> tuple[int, _ChainFailure] | None:
+    """The iteration and chain of the first non-finite draw in a block, or None.
+
+    ``block`` is a (J, 2, C, k, k) stack of the covariance pairs drawn by
+    the sweeps from iteration ``start`` on.
+    """
+    finite = np.isfinite(block).all(axis=(1, 3, 4))
+    if finite.all():
+        return None
+    row = int(np.argmin(finite.all(axis=1)))
+    return start + row, _ChainFailure(int(np.argmin(finite[row])), "covariance draw is not finite")
+
+
 def _mean_given_cov(sigmas, m, sum_y, lam0_prec, shift0, z) -> np.ndarray:
     """Draws of mu | Sigma for m rows summing to ``sum_y``; one per row of ``z``.
 
@@ -326,7 +357,7 @@ def _exact_covariances(gen, scale_post, df_post, lam0, ybar_dev, m, count):
         if m:
             log_u = np.log(gen.random(size))
             lower = np.linalg.cholesky(lam0 + sigmas / m)
-            z = np.linalg.solve(lower, np.broadcast_to(ybar_dev[:, None], (size, k, 1)))
+            z = forward_solve(lower, ybar_dev[:, None])
             log_det = 2.0 * np.sum(np.log(np.diagonal(lower, axis1=1, axis2=2)), axis=1)
             sigmas = sigmas[log_u < -0.5 * (log_det - log_det_lam0 + np.sum(z * z, axis=(1, 2)))]
         kept.append(sigmas)
@@ -425,10 +456,10 @@ def sample_alternative(
     in blocks of ``BLOCK_ITERATIONS`` iterations, so a chain's draws do not
     depend on C or on the other chains.  Returns one DrawSet per data set.
 
-    A factorization that fails raises :class:`NumericalError` naming
-    ``labels[d]`` (when given), the chain and the iteration.  Any number of
-    sources is accepted, since the priors are proper: with none the draws
-    come from the prior.
+    A factorization that fails, or a covariance draw that is not finite,
+    raises :class:`NumericalError` naming ``labels[d]`` (when given), the
+    chain and the iteration.  Any number of sources is accepted, since the
+    priors are proper: with none the draws come from the prior.
     """
     k = prior.dim
     datasets = [[np.atleast_2d(np.asarray(g, dtype=float)) for g in groups] for groups in datasets]
@@ -452,14 +483,16 @@ def sample_alternative(
     stats = [_group_statistics(groups, order, k) for groups in datasets]
     ybars = np.repeat(np.array([s[0] for s in stats]), chains, axis=0)
     within = np.repeat(np.array([s[1] for s in stats]), chains, axis=0)
-    # size classes: fragments per source (K, 1, 1, 1), source counts (K, 1, 1, 1),
-    # sums of group means (K, C, k) and the slice of sources in each class
+    # size classes: fragments per source (K, 1, 1, 1), the slice of sources in
+    # each class, and per class and chain [source count * I | sum of its group
+    # means] (K, C, k, k + 1), which V^-1 of the class maps to its share of [P | h]
     class_m, starts, counts = np.unique(sizes, return_index=True, return_counts=True)
     class_rows = [slice(lo, lo + cnt) for lo, cnt in zip(starts.tolist(), counts.tolist())]
-    class_sums = np.array([ybars[:, r].sum(axis=1) for r in class_rows])
-    class_sums = class_sums.reshape(len(class_rows), ybars.shape[0], k)
+    class_rhs = np.zeros((len(class_rows), ybars.shape[0], k, k + 1))
+    class_rhs[..., :k] = counts[:, None, None, None] * np.eye(k)
+    for rhs, r in zip(class_rhs, class_rows):
+        rhs[..., k] = ybars[:, r].sum(axis=1)
     class_m = class_m.astype(float)[:, None, None, None]
-    counts = counts.astype(float)[:, None, None, None]
 
     gens = [
         RngStream(settings.seed, stream_id(PURPOSE_ALTERNATIVE, job, chain)).generator
@@ -475,7 +508,7 @@ def sample_alternative(
     )
 
     lam0_prec = np.linalg.inv(prior.mean_cov.values)
-    shift0 = lam0_prec @ prior.mean
+    prior_rhs = np.column_stack([lam0_prec, lam0_prec @ prior.mean])
     scale0 = np.stack([prior.within_scale.values, prior.between_scale.values])[:, None]
     # sigma[0] is Sigma_w, sigma[1] is Sigma_b
     sigma = np.empty((2, n_chains, k, k))
@@ -483,10 +516,19 @@ def sample_alternative(
     sigma[1] = prior.between_scale.values / prior.between_df
     effects = np.empty((n_chains, n, k))
     scale = np.empty((2, n_chains, k, k))
+    # one block of covariance draws, (iteration in block, Sigma_w/Sigma_b, chain, k, k)
+    block_sigma = np.empty((BLOCK_ITERATIONS,) + sigma.shape)
     weights = sizes[:, None].astype(float)
     kept = settings.kept_per_chain
     out_mu = np.empty((n_chains, kept, k))
     out_sigma = np.empty((2, n_chains, kept, k, k))
+
+    def located(iteration, exc):
+        where = f"iteration {iteration}"
+        if isinstance(exc, _ChainFailure):
+            d, chain = divmod(exc.chain, chains)
+            where = f"{labels[d] + ' ' if labels else ''}chain {chain}, {where}"
+        return NumericalError(f"{where}: {exc}")
 
     stored = 0
     for it in range(settings.iterations):
@@ -495,17 +537,22 @@ def sample_alternative(
             for c, gen in enumerate(gens):
                 gen.standard_normal(out=normals[c])
                 chi2[c] = gen.chisquare(dfs, size=(BLOCK_ITERATIONS, 2 * k))
+            # the block's Bartlett factors depend only on its variates: invert
+            # them all now, laid out like block_sigma so a sweep takes one slice
+            inv_t = np.ascontiguousarray(bartlett_inverses(
+                chi2.reshape(n_chains, BLOCK_ITERATIONS, 2, k),
+                normals[..., k + n * k :].reshape(n_chains, BLOCK_ITERATIONS, 2, tri),
+            ).transpose(1, 2, 0, 3, 4))
         z = normals[:, j]
         sigma_w, sigma_b = sigma
         try:
             # mu | Sigma_b, Sigma_w with the effects integrated out:
             # ybar_i ~ N(mu, Sigma_b + Sigma_w / m_i), one (K, C, k, k) stack
             v_inv = _factor(np.linalg.inv, sigma_b + sigma_w / class_m, "group-mean covariance")
-            prec = lam0_prec + (counts * v_inv).sum(axis=0)
-            shift = shift0 + (v_inv @ class_sums[..., None]).sum(axis=0)[..., 0]
-            cov_mu = _factor(np.linalg.inv, prec, "mean conditional precision")
+            prec_shift = prior_rhs + (v_inv @ class_rhs).sum(axis=0)  # [P | h]
+            cov_mu = _factor(np.linalg.inv, prec_shift[..., :k], "mean conditional precision")
             low_mu = _factor(np.linalg.cholesky, cov_mu, "mean conditional covariance")
-            mu = ((cov_mu @ shift[..., None]) + low_mu @ z[:, :k, None])[..., 0]
+            mu = ((cov_mu @ prec_shift[..., k:]) + low_mu @ z[:, :k, None])[..., 0]
 
             # a_i | mu: mean G (ybar_i - mu), covariance G Sigma_w / m_i,
             # with G = Sigma_b (Sigma_b + Sigma_w / m_i)^-1
@@ -525,21 +572,16 @@ def sample_alternative(
             scale[1] = effects.swapaxes(-1, -2) @ effects
             scale += scale0
             chol_scale = _factor(np.linalg.cholesky, scale, "covariance posterior scale")
-            sigma = invwishart_bartlett(
-                chol_scale,
-                chi2[:, j].reshape(n_chains, 2, k).swapaxes(0, 1),
-                z[:, k + n * k :].reshape(n_chains, 2, tri).swapaxes(0, 1),
-            )
-            # overflow does not make a factorization fail; stop at its first sign
-            finite = np.isfinite(sigma).all(axis=(0, 2, 3))
-            if not finite.all():
-                raise _ChainFailure(int(np.argmin(finite)), "covariance draw is not finite")
+            sigma = invwishart_from_inverses(chol_scale, inv_t[j], block_sigma[j])
         except NumericalError as exc:
-            where = f"iteration {it}"
-            if isinstance(exc, _ChainFailure):
-                d, chain = divmod(exc.chain, chains)
-                where = f"{labels[d] + ' ' if labels else ''}chain {chain}, {where}"
-            raise NumericalError(f"{where}: {exc}") from None
+            # a non-finite draw earlier in the block may be what made this sweep fail
+            raise located(*(_first_non_finite(block_sigma[:j], it - j) or (it, exc))) from None
+        if j == BLOCK_ITERATIONS - 1 or it == settings.iterations - 1:
+            # overflow, or a singular Bartlett factor, does not make a
+            # factorization fail: check the block's draws once, at its end
+            failure = _first_non_finite(block_sigma[: j + 1], it - j)
+            if failure:
+                raise located(*failure)
         if it >= settings.burn_in and (it - settings.burn_in) % settings.thin == 0:
             out_mu[:, stored] = mu
             out_sigma[:, :, stored] = sigma

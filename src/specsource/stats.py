@@ -26,8 +26,11 @@ __all__ = [
     "SpdMatrix",
     "SpdStack",
     "as_vector",
+    "bartlett_inverses",
     "compound_logpdf",
+    "forward_solve",
     "invwishart_bartlett",
+    "invwishart_from_inverses",
     "log_mean_exp",
     "mvn_logpdf",
     "sample_inverse_wishart",
@@ -192,26 +195,50 @@ def sample_mvn(mu, sigma, rng: RngStream, size: int | None = None) -> np.ndarray
     return draws[0] if size is None else draws
 
 
-def invwishart_bartlett(chol_phi: np.ndarray, chi2: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Inverse-Wishart draws by the Bartlett construction from given variates.
+def bartlett_inverses(chi2: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Transposed inverses A^-T of the lower Bartlett factors A built from given variates.
 
-    ``chol_phi`` is the lower Cholesky factor C of the scale, shape (k, k)
-    or a stack (..., k, k).  Column i of ``chi2`` (shape (..., k)) is a
-    chi-square variate with nu - i degrees of freedom; ``normals`` (shape
-    (..., k(k-1)/2)) are standard normals filling the strict lower triangle
-    of A row by row.  With W = A A^T ~ Wishart(I, nu), each draw is
-    C (A A^T)^-1 C^T, returned as a (..., k, k) stack.
+    Column i of ``chi2`` (shape (..., k)) is a chi-square variate with
+    nu - i degrees of freedom and gives A's diagonal entry sqrt(chi2_i);
+    ``normals`` (shape (..., k(k-1)/2)) are standard normals filling the
+    strict lower triangle of A row by row, so that A A^T ~ Wishart(I, nu).
+    All factors are inverted at once by forward substitution; the result is
+    a (..., k, k) stack of upper-triangular A^-T.  A zero chi-square variate
+    makes its factor singular and its inverse non-finite.
     """
     k = chi2.shape[-1]
     a = np.zeros(chi2.shape[:-1] + (k * k,))
     a[..., :: k + 1] = np.sqrt(chi2)
     a[..., [i * k + j for i in range(k) for j in range(i)]] = normals
-    a = a.reshape(chi2.shape + (k,))
-    try:
-        t = np.linalg.solve(a, np.swapaxes(chol_phi, -1, -2))
-    except np.linalg.LinAlgError as exc:
-        raise NotSpdError("inverse-Wishart draw produced a singular factor") from exc
-    return t.swapaxes(-1, -2) @ t
+    inv = forward_solve(a.reshape(-1, k, k), np.eye(k))
+    return inv.swapaxes(-1, -2).reshape(chi2.shape + (k,))
+
+
+def invwishart_from_inverses(chol_phi: np.ndarray, inv_t: np.ndarray, out=None) -> np.ndarray:
+    """Inverse-Wishart draws C A^-T (C A^-T)^T from transposed Bartlett inverses.
+
+    ``chol_phi`` is the lower Cholesky factor C of the scale, shape (k, k)
+    or a stack (..., k, k); ``inv_t`` is a stack of A^-T from
+    :func:`bartlett_inverses`.  With W = A A^T ~ Wishart(I, nu), each draw
+    is C W^-1 C^T ~ IW(C C^T, nu).  Two matrix products; the draws are
+    written to ``out`` when it is given.
+    """
+    u = chol_phi @ inv_t
+    return np.matmul(u, u.swapaxes(-1, -2), out=out)
+
+
+def invwishart_bartlett(chol_phi: np.ndarray, chi2: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Inverse-Wishart draws by the Bartlett construction from given variates.
+
+    ``chol_phi`` is the lower Cholesky factor C of the scale, shape (k, k)
+    or a stack (..., k, k); ``chi2`` (..., k) and ``normals``
+    (..., k(k-1)/2) are the variates of :func:`bartlett_inverses`.  Each
+    draw is C (A A^T)^-1 C^T, returned as a (..., k, k) stack.  A zero
+    chi-square variate raises :class:`NotSpdError`.
+    """
+    if not np.all(chi2 > 0):
+        raise NotSpdError("inverse-Wishart draw produced a singular factor")
+    return invwishart_from_inverses(chol_phi, bartlett_inverses(chi2, normals))
 
 
 def sample_inverse_wishart(phi, nu: float, rng: RngStream) -> SpdMatrix:
@@ -248,10 +275,11 @@ def _log_det(lower: np.ndarray) -> np.ndarray:
     return 2.0 * np.sum(np.log(lower[:, diag, diag]), axis=-1)
 
 
-def _forward_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def forward_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``lower @ x = rhs`` for a (T, k, k) stack of lower-triangular factors.
 
-    Forward substitution row by row, each step vectorized over the stack;
+    Forward substitution row by row, each step vectorized over the stack,
+    so no factor is LU-factored again as ``np.linalg.solve`` would;
     ``rhs`` is (T, k, r) or a shared (k, r).  Returns (T, k, r).
     """
     x = np.empty(lower.shape[:1] + rhs.shape[-2:])
@@ -294,7 +322,7 @@ class SpdStack:
     @property
     def inv_flat(self) -> np.ndarray:
         if self._inv_flat is None:
-            inv_lower = _forward_solve(self.chol, np.eye(self.chol.shape[-1]))
+            inv_lower = forward_solve(self.chol, np.eye(self.chol.shape[-1]))
             inverse = np.ascontiguousarray(inv_lower.swapaxes(1, 2)) @ inv_lower
             self._inv_flat = inverse.reshape(inverse.shape[0], -1)
         return self._inv_flat
@@ -360,7 +388,7 @@ def compound_logpdf(y, mu_a, sigma_b, sigma_w) -> float | np.ndarray:
     ybar = pts.mean(axis=0)
     dev = pts - ybar
     lower_t = within.chol if b is None else _batched_chol(w + m * b)
-    z = _forward_solve(lower_t, (ybar - means)[:, :, None])
+    z = forward_solve(lower_t, (ybar - means)[:, :, None])
     out = m * np.sum(z * z, axis=(1, 2))
     if m > 1:
         # S is symmetric, so tr(Sw^-1 S) is the dot product of the flattened pair.

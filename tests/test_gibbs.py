@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -324,7 +326,7 @@ class TestSampleAlternative:
     def test_failure_names_the_chain_and_iteration(self, monkeypatch):
         import specsource.gibbs as gibbs_module
 
-        original = gibbs_module.invwishart_bartlett
+        original = gibbs_module.invwishart_from_inverses
         calls = []
 
         def corrupt_chain_three(*args):
@@ -334,7 +336,7 @@ class TestSampleAlternative:
                 out[1, 3] = -np.eye(out.shape[-1])
             return out
 
-        monkeypatch.setattr(gibbs_module, "invwishart_bartlett", corrupt_chain_three)
+        monkeypatch.setattr(gibbs_module, "invwishart_from_inverses", corrupt_chain_three)
         with pytest.raises(NumericalError, match=r"^d3 chain 0, iteration 5: "):
             sample_alternative(
                 self.datasets(4),
@@ -343,6 +345,51 @@ class TestSampleAlternative:
                 jobs=[1, 2, 3, 4],
                 labels=["d0", "d1", "d2", "d3"],
             )
+
+    @staticmethod
+    def corrupt_draws(monkeypatch, edits):
+        """Apply ``edits[i]`` to the covariance pair that sweep ``i`` draws, in place."""
+        import specsource.gibbs as gibbs_module
+
+        original = gibbs_module.invwishart_from_inverses
+        calls = []
+
+        def corrupt(*args):
+            out = original(*args)
+            if len(calls) in edits:
+                edits[len(calls)](out)
+            calls.append(None)
+            return out
+
+        monkeypatch.setattr(gibbs_module, "invwishart_from_inverses", corrupt)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_draw_is_named_before_a_later_failure_in_its_block(self, monkeypatch):
+        # sweep 6 of the first block draws a non-finite Sigma_w in chain 2 and a
+        # negative-definite Sigma_b in chain 0, so a factorization fails at sweep 7
+        def corrupt(out):
+            out[0, 2] = np.nan
+            out[1, 0] = -np.eye(out.shape[-1])
+
+        self.corrupt_draws(monkeypatch, {6: corrupt})
+        settings = McmcSettings(iterations=50, burn_in=10, seed=31, chains=4)
+        with pytest.raises(NumericalError, match="^chain 2, iteration 6: covariance draw is not finite"):
+            gibbs_alternative(self.datasets(1)[0], small_alt_prior(), settings)
+
+    def test_non_finite_draw_in_the_final_partial_block_is_caught(self, monkeypatch):
+        # 50 iterations: the last block holds sweeps 48 and 49 only
+        self.corrupt_draws(monkeypatch, {49: lambda out: out[1, 1].fill(np.inf)})
+        settings = McmcSettings(iterations=50, burn_in=10, seed=31, chains=4)
+        with pytest.raises(NumericalError, match="^chain 1, iteration 49: covariance draw is not finite"):
+            gibbs_alternative(self.datasets(1)[0], small_alt_prior(), settings)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_singular_bartlett_factor_names_the_chain_and_iteration(self):
+        # with no sources, Sigma_b's last chi-square variate has 1e-12 degrees of
+        # freedom and underflows to zero: its Bartlett factor is singular
+        prior = replace(small_alt_prior(), between_df=1.0 + 1e-12)
+        with pytest.raises(NumericalError, match="^chain 0, iteration 0: covariance draw is not finite"):
+            gibbs_alternative([], prior, self.SETTINGS)
 
 
 class TestEffectiveSampleSize:

@@ -126,7 +126,7 @@ class TestConvergenceStudy:
     def test_sampler_failure_names_the_cell(self, monkeypatch):
         import specsource.gibbs as gibbs_module
 
-        original = gibbs_module.invwishart_bartlett
+        original = gibbs_module.invwishart_from_inverses
         calls = []
 
         def corrupt_replicate_one(*args):
@@ -136,7 +136,7 @@ class TestConvergenceStudy:
                 out[1, 1] = -np.eye(out.shape[-1])
             return out
 
-        monkeypatch.setattr(gibbs_module, "invwishart_bartlett", corrupt_replicate_one)
+        monkeypatch.setattr(gibbs_module, "invwishart_from_inverses", corrupt_replicate_one)
         with pytest.raises(NumericalError, match=r"\(n=3, replicate=1\) chain 0, iteration 5: "):
             convergence_study(
                 default_study_params(), default_study_design(), [3], 2, TINY_MCMC, seed=2

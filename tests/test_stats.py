@@ -9,8 +9,11 @@ from specsource.stats import (
     RngStream,
     SpdMatrix,
     SpdStack,
+    bartlett_inverses,
     compound_logpdf,
+    forward_solve,
     invwishart_bartlett,
+    invwishart_from_inverses,
     log_mean_exp,
     mvn_logpdf,
     sample_inverse_wishart,
@@ -191,6 +194,49 @@ class TestInverseWishart:
         with pytest.raises(ValueError, match="degrees of freedom"):
             sample_inverse_wishart(np.eye(3), 1.5, RngStream(1))
 
+    def test_bartlett_draw_is_the_scaled_inverse_of_the_wishart_product(self, np_rng):
+        # reference: C (A A^T)^-1 C^T with A filled in and inverted densely
+        for k in (1, 2, 3):
+            chi2 = np_rng.chisquare(k + 4 - np.arange(k), size=(50, k))
+            normals = np_rng.standard_normal((50, k * (k - 1) // 2))
+            a = np.zeros((50, k, k))
+            a[:, np.arange(k), np.arange(k)] = np.sqrt(chi2)
+            rows, cols = np.tril_indices(k, -1)
+            a[:, rows, cols] = normals
+            chol = random_spd(np_rng, k).chol
+            want = chol @ np.linalg.inv(a @ a.swapaxes(1, 2)) @ chol.T
+            got = invwishart_bartlett(chol, chi2, normals)
+            scale = np.abs(want).max(axis=(1, 2))
+            assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-10 * scale)
+
+    def test_block_path_matches_the_bartlett_draw(self, np_rng):
+        # the defense sweep inverts a (C, 16, 2, k, k) block of factors at once
+        # and draws one (2, C, k, k) covariance pair from each slice
+        chains = 3
+        for k in (1, 2, 3):
+            chi2 = np_rng.chisquare(k + 4 - np.arange(k), size=(chains, 16, 2, k))
+            normals = np_rng.standard_normal((chains, 16, 2, k * (k - 1) // 2))
+            spd = [[random_spd(np_rng, k).values for _ in range(chains)] for _ in range(2)]
+            chol = np.linalg.cholesky(np.array(spd))
+            inv_t = np.ascontiguousarray(bartlett_inverses(chi2, normals).transpose(1, 2, 0, 3, 4))
+            for j in range(16):
+                got = invwishart_from_inverses(chol, inv_t[j])
+                want = invwishart_bartlett(
+                    chol, chi2[:, j].swapaxes(0, 1), normals[:, j].swapaxes(0, 1)
+                )
+                scale = np.abs(want).max(axis=(-2, -1))
+                assert np.all(np.abs(got - want).max(axis=(-2, -1)) <= 1e-13 * scale)
+
+    def test_zero_chi_square_gives_a_singular_factor(self):
+        chi2 = np.array([[2.0, 0.0], [2.0, 1.0]])
+        normals = np.array([[0.5], [0.5]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv_t = bartlett_inverses(chi2, normals)
+        assert not np.isfinite(inv_t[0]).all()
+        assert np.isfinite(inv_t[1]).all()
+        with pytest.raises(NotSpdError, match="singular factor"):
+            invwishart_bartlett(np.eye(2), chi2, normals)
+
 
 class TestCompoundLogpdf:
     def test_single_row_reduces_to_mvn(self, np_rng):
@@ -268,6 +314,14 @@ class TestSpdStack:
         assert np.allclose(spd.log_det, np.linalg.slogdet(stack)[1], rtol=1e-12, atol=0)
         inverse = np.linalg.inv(stack).reshape(6, 9)
         assert np.allclose(spd.inv_flat, inverse, rtol=1e-10, atol=1e-14)
+
+    def test_forward_solve_matches_numpy(self, np_rng):
+        lower = np.linalg.cholesky(np.stack([random_spd(np_rng, 3).values for _ in range(6)]))
+        shared = np_rng.standard_normal((3, 2))
+        stacked = np_rng.standard_normal((6, 3, 2))
+        for rhs in (shared, stacked):
+            want = np.linalg.solve(lower, np.broadcast_to(rhs, (6, 3, 2)))
+            assert np.allclose(forward_solve(lower, rhs), want, rtol=1e-12, atol=1e-14)
 
     def test_rejects_indefinite_and_bad_shape(self):
         with pytest.raises(NotSpdError, match="positive definite"):
