@@ -236,7 +236,7 @@ def invwishart_bartlett(chol_phi: np.ndarray, chi2: np.ndarray, normals: np.ndar
     draw is C (A A^T)^-1 C^T, returned as a (..., k, k) stack.  A zero
     chi-square variate raises :class:`NotSpdError`.
     """
-    if not np.all(chi2 > 0):
+    if not (chi2 > 0).all():
         raise NotSpdError("inverse-Wishart draw produced a singular factor")
     return invwishart_from_inverses(chol_phi, bartlett_inverses(chi2, normals))
 
