@@ -373,14 +373,18 @@ class TestSampleAlternative:
 
         self.corrupt_draws(monkeypatch, {6: corrupt})
         settings = McmcSettings(iterations=50, burn_in=10, seed=31, chains=4)
-        with pytest.raises(NumericalError, match="^chain 2, iteration 6: covariance draw is not finite"):
+        with pytest.raises(
+            NumericalError, match="^chain 2, iteration 6: covariance draw is not finite"
+        ):
             gibbs_alternative(self.datasets(1)[0], small_alt_prior(), settings)
 
     def test_non_finite_draw_in_the_final_partial_block_is_caught(self, monkeypatch):
         # 50 iterations: the last block holds sweeps 48 and 49 only
         self.corrupt_draws(monkeypatch, {49: lambda out: out[1, 1].fill(np.inf)})
         settings = McmcSettings(iterations=50, burn_in=10, seed=31, chains=4)
-        with pytest.raises(NumericalError, match="^chain 1, iteration 49: covariance draw is not finite"):
+        with pytest.raises(
+            NumericalError, match="^chain 1, iteration 49: covariance draw is not finite"
+        ):
             gibbs_alternative(self.datasets(1)[0], small_alt_prior(), settings)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -388,7 +392,9 @@ class TestSampleAlternative:
         # with no sources, Sigma_b's last chi-square variate has 1e-12 degrees of
         # freedom and underflows to zero: its Bartlett factor is singular
         prior = replace(small_alt_prior(), between_df=1.0 + 1e-12)
-        with pytest.raises(NumericalError, match="^chain 0, iteration 0: covariance draw is not finite"):
+        with pytest.raises(
+            NumericalError, match="^chain 0, iteration 0: covariance draw is not finite"
+        ):
             gibbs_alternative([], prior, self.SETTINGS)
 
 
