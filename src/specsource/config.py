@@ -137,54 +137,33 @@ def _parse_mcmc(node, seed: int) -> McmcSettings:
     )
 
 
-def _parse_specific_prior(node) -> SpecificPrior | None:
-    if node is None:
-        return None
-    mean_node = _require(node, "mean", "specific_prior", list)
-    mean = _parse_vector(mean_node, len(mean_node), "specific_prior.mean")
-    k = mean.size
-    return SpecificPrior(
-        mean=mean,
-        mean_cov=_parse_matrix(
-            _require(node, "mean_covariance", "specific_prior"), k, "specific_prior.mean_covariance"
-        ),
-        cov_scale=_parse_matrix(
-            _require(node, "scale", "specific_prior"), k, "specific_prior.scale"
-        ),
-        cov_df=_number(_require(node, "df", "specific_prior"), float, "specific_prior.df"),
-    )
+#: Each prior section's class and the YAML keys of its fields after the mean,
+#: in constructor order.  A key ending in "df" holds a number, any other a
+#: matrix.
+_PRIORS = {
+    "specific_prior": (SpecificPrior, ("mean_covariance", "scale", "df")),
+    "alternative_prior": (
+        AlternativePrior,
+        ("mean_covariance", "between_scale", "between_df", "within_scale", "within_df"),
+    ),
+}
 
 
-def _parse_alternative_prior(node) -> AlternativePrior | None:
+def _parse_prior(node, section: str):
+    """The prior of config ``section``, or None when the section is absent."""
     if node is None:
         return None
-    mean_node = _require(node, "mean", "alternative_prior", list)
-    mean = _parse_vector(mean_node, len(mean_node), "alternative_prior.mean")
-    k = mean.size
-    return AlternativePrior(
-        mean=mean,
-        mean_cov=_parse_matrix(
-            _require(node, "mean_covariance", "alternative_prior"),
-            k,
-            "alternative_prior.mean_covariance",
-        ),
-        between_scale=_parse_matrix(
-            _require(node, "between_scale", "alternative_prior"),
-            k,
-            "alternative_prior.between_scale",
-        ),
-        between_df=_number(
-            _require(node, "between_df", "alternative_prior"), float, "alternative_prior.between_df"
-        ),
-        within_scale=_parse_matrix(
-            _require(node, "within_scale", "alternative_prior"),
-            k,
-            "alternative_prior.within_scale",
-        ),
-        within_df=_number(
-            _require(node, "within_df", "alternative_prior"), float, "alternative_prior.within_df"
-        ),
-    )
+    cls, keys = _PRIORS[section]
+    mean_node = _require(node, "mean", section, list)
+    mean = _parse_vector(mean_node, len(mean_node), f"{section}.mean")
+    values = []
+    for key in keys:
+        value, where = _require(node, key, section), f"{section}.{key}"
+        if key.endswith("df"):
+            values.append(_number(value, float, where))
+        else:
+            values.append(_parse_matrix(value, mean.size, where))
+    return cls(mean, *values)
 
 
 @dataclass(frozen=True)
@@ -305,8 +284,8 @@ def load_run_config(
     return RunConfig(
         data_path=data_path,
         scenario=scenario,
-        specific_prior=_parse_specific_prior(raw.get("specific_prior")),
-        alternative_prior=_parse_alternative_prior(raw.get("alternative_prior")),
+        specific_prior=_parse_prior(raw.get("specific_prior"), "specific_prior"),
+        alternative_prior=_parse_prior(raw.get("alternative_prior"), "alternative_prior"),
         mcmc=_parse_mcmc(raw.get("mcmc"), seed),
         output=output,
         report_format=report_format,

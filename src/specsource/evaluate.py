@@ -156,18 +156,21 @@ class LogDensityEstimate:
             raise ValueError("mc_se must be nonnegative")
 
 
-def _trace_matrix(e_u) -> np.ndarray:
+def _trace_matrix(e_u, dim: int | None = None, against: str = "") -> np.ndarray:
+    """The trace as an (m, k) matrix; a DataError unless nonempty with k == ``dim``."""
     if isinstance(e_u, EvidenceSet):
         pts = e_u.trace_matrix()
     else:
         pts = np.atleast_2d(np.asarray(e_u, dtype=float))
     if pts.size == 0:
         raise DataError("trace sample is empty")
+    if dim is not None and pts.shape[1] != dim:
+        raise DataError(f"trace dimension {pts.shape[1]} does not match {against} ({dim})")
     return pts
 
 
 def _mc_se_of_log_mean(values: np.ndarray, chain_slices) -> float:
-    """Delta-method standard error of log-mean-exp over correlated draws."""
+    """Delta-method SE of log-mean-exp over correlated draws; infinite if all are -inf."""
     peak = float(np.max(values))
     if peak == -np.inf:
         return np.inf
@@ -189,25 +192,29 @@ def _mc_se_of_log_mean(values: np.ndarray, chain_slices) -> float:
     return sd_w / (mean_w * np.sqrt(ess_total))
 
 
+def _mc_estimate(e_u, draws: DrawSet, model: str, between, within) -> LogDensityEstimate:
+    """Log-mean-exp of the trace's compound density over ``draws``, with its MC-SE.
+
+    ``between`` names the shared-effect covariance stack, or is None for
+    conditionally iid fragments; ``within`` names the other stack.
+    """
+    if draws.model != model:
+        raise ValueError(f"expected a {model} DrawSet, got {draws.model!r}")
+    points = _trace_matrix(e_u, draws.dim, "draws")
+    sigma_b = None if between is None else draws.cov(between)
+    values = compound_logpdf(points, draws.means, sigma_b, draws.spd_stack(within))
+    log_value = log_mean_exp(values)
+    mc_se = _mc_se_of_log_mean(values, draws.chain_slices())
+    return LogDensityEstimate(log_value, mc_se, draws.size, draws.dim)
+
+
 def log_numerator(e_u, draws: DrawSet) -> LogDensityEstimate:
     """Monte Carlo posterior-predictive log-density of the trace, prosecution side.
 
     Averages the trace's joint density (fragments conditionally iid given
     the specific-source parameters) over the posterior draws.
     """
-    if draws.model != PROSECUTION:
-        raise ValueError(f"expected a {PROSECUTION} DrawSet, got {draws.model!r}")
-    points = _trace_matrix(e_u)
-    if points.shape[1] != draws.dim:
-        raise DataError(
-            f"trace dimension {points.shape[1]} does not match draws ({draws.dim})"
-        )
-    values = compound_logpdf(points, draws.means, None, draws.spd_stack("sigma_s"))
-    log_value = log_mean_exp(values)
-    mc_se = _mc_se_of_log_mean(values, draws.chain_slices())
-    if log_value == -np.inf:
-        mc_se = np.inf
-    return LogDensityEstimate(log_value, mc_se, draws.size, points.shape[1])
+    return _mc_estimate(e_u, draws, PROSECUTION, None, "sigma_s")
 
 
 def log_denominator_plugin(e_u, estimate: AltPlugInEstimate) -> LogDensityEstimate:
@@ -217,33 +224,14 @@ def log_denominator_plugin(e_u, estimate: AltPlugInEstimate) -> LogDensityEstima
     shared-effect compound density, not a product of marginals.  Only the
     precomputed estimate enters; the alternative sample itself is not read.
     """
-    points = _trace_matrix(e_u)
-    if points.shape[1] != estimate.dim:
-        raise DataError(
-            f"trace dimension {points.shape[1]} does not match estimate ({estimate.dim})"
-        )
+    points = _trace_matrix(e_u, estimate.dim, "estimate")
     value = compound_logpdf(points, estimate.mean, estimate.between, estimate.within)
-    return LogDensityEstimate(value, 0.0, 0, points.shape[1])
+    return LogDensityEstimate(value, 0.0, 0, estimate.dim)
 
 
 def log_denominator_full(e_u, draws: DrawSet) -> LogDensityEstimate:
     """Monte Carlo posterior-predictive log-density of the trace, defense side."""
-    if draws.model != DEFENSE:
-        raise ValueError(f"expected a {DEFENSE} DrawSet, got {draws.model!r}")
-    points = _trace_matrix(e_u)
-    k = points.shape[1]
-    if k != draws.dim:
-        raise DataError(
-            f"trace dimension {k} does not match draws ({draws.dim})"
-        )
-    values = compound_logpdf(
-        points, draws.means, draws.cov("sigma_b"), draws.spd_stack("sigma_w")
-    )
-    log_value = log_mean_exp(values)
-    mc_se = _mc_se_of_log_mean(values, draws.chain_slices())
-    if log_value == -np.inf:
-        mc_se = np.inf
-    return LogDensityEstimate(log_value, mc_se, draws.size, k)
+    return _mc_estimate(e_u, draws, DEFENSE, "sigma_b", "sigma_w")
 
 
 def closed_form_predictive_known_cov(e_u, e_s, mu0, lambda0, sigma) -> float:

@@ -64,8 +64,7 @@ from .stats import (
     SpdStack,
     as_vector,
     bartlett_inverses,
-    forward_solve,
-    invwishart_bartlett,
+    compound_logpdf,
     invwishart_from_inverses,
 )
 
@@ -342,10 +341,13 @@ def _exact_covariances(gen, scale_post, df_post, lam0, ybar_dev, m, count):
     rounds sized by the acceptance rate seen so far.  With m >= 1 a proposal
     is accepted with probability N(ybar; mu0, L0 + Sigma/m) / N(0; 0, L0),
     which is at most 1; with m = 0 every proposal is a prior draw and is kept.
+    ``lam0`` is L0 as an SpdMatrix, whose cached factor is reused.  A
+    proposal that is not finite, as a zero chi-square variate makes it,
+    raises: its weight would be NaN and silently reject it.
     """
     k = scale_post.shape[0]
     chol_post = _factor(np.linalg.cholesky, scale_post, "posterior scale")
-    log_det_lam0 = 2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(lam0))))
+    log_peak = compound_logpdf(np.zeros(k), np.zeros(k), None, lam0)
     kept: list[np.ndarray] = []
     accepted = proposed = 0
     while accepted < count:
@@ -353,13 +355,14 @@ def _exact_covariances(gen, scale_post, df_post, lam0, ybar_dev, m, count):
         size = max(MIN_PROPOSALS, int(np.ceil((count - accepted) / max(rate, ACCEPTANCE_FLOOR))))
         chi2 = gen.chisquare(df_post - np.arange(k), size=(size, k))
         normals = gen.standard_normal((size, k * (k - 1) // 2))
-        sigmas = invwishart_bartlett(chol_post, chi2, normals)
+        sigmas = invwishart_from_inverses(chol_post, bartlett_inverses(chi2, normals))
+        if not np.isfinite(sigmas).all():
+            raise NumericalError("proposed covariance draw is not finite")
         if m:
             log_u = np.log(gen.random(size))
-            lower = np.linalg.cholesky(lam0 + sigmas / m)
-            z = forward_solve(lower, ybar_dev[:, None])
-            log_det = 2.0 * np.sum(np.log(np.diagonal(lower, axis1=1, axis2=2)), axis=1)
-            sigmas = sigmas[log_u < -0.5 * (log_det - log_det_lam0 + np.sum(z * z, axis=(1, 2)))]
+            covs = lam0.values + sigmas / m
+            log_weight = compound_logpdf(ybar_dev, np.zeros((size, k)), None, covs) - log_peak
+            sigmas = sigmas[log_u < log_weight]
         kept.append(sigmas)
         accepted += sigmas.shape[0]
         proposed += size
@@ -398,8 +401,8 @@ def gibbs_specific(
     dev = y - ybar
     scale_post = prior.cov_scale.values + dev.T @ dev
     df_post = prior.cov_df + max(m - 1, 0)
-    lam0 = prior.mean_cov.values
-    lam0_prec = np.linalg.inv(lam0)
+    lam0 = prior.mean_cov
+    lam0_prec = np.linalg.inv(lam0.values)
     shift0 = lam0_prec @ prior.mean
     sum_y = y.sum(axis=0)
     kept = settings.kept_per_chain

@@ -197,8 +197,6 @@ def convergence_study(
     mcmc: McmcSettings,
     seed: int,
     *,
-    specific_prior: SpecificPrior | None = None,
-    alternative_prior: AlternativePrior | None = None,
     on_evidence=None,
 ) -> list[ConvergenceRow]:
     """Run the gap study over an ascending grid of population sizes.
@@ -210,7 +208,8 @@ def convergence_study(
     (n, replicate).  Each cell's simulation and sampler streams are keyed by
     (``seed``, grid index, replicate, chain) alone, so replicates are
     independent, a row does not depend on how many replicates run, and the
-    whole table is reproducible from ``seed``.
+    whole table is reproducible from ``seed``.  Both samplers use the
+    weak priors of ``_study_priors``.
     ``on_evidence(n, replicate, evidence)`` is called per cell when given
     (used by the CLI to optionally persist the simulated datasets).
     """
@@ -220,11 +219,7 @@ def convergence_study(
     if not 1 <= replicates < 2**16:
         raise ConfigError(f"replicates must be between 1 and 65535, got {replicates}")
 
-    if specific_prior is None or alternative_prior is None:
-        default_spec, default_alt = _study_priors(params.dim)
-        specific_prior = specific_prior or default_spec
-        alternative_prior = alternative_prior or default_alt
-
+    specific_prior, alternative_prior = _study_priors(params.dim)
     settings = mcmc.with_seed(seed)
     rows: list[ConvergenceRow] = []
     for n_idx, n in enumerate(grid):

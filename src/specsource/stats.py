@@ -29,7 +29,6 @@ __all__ = [
     "bartlett_inverses",
     "compound_logpdf",
     "forward_solve",
-    "invwishart_bartlett",
     "invwishart_from_inverses",
     "log_mean_exp",
     "mvn_logpdf",
@@ -227,20 +226,6 @@ def invwishart_from_inverses(chol_phi: np.ndarray, inv_t: np.ndarray, out=None) 
     return np.matmul(u, u.swapaxes(-1, -2), out=out)
 
 
-def invwishart_bartlett(chol_phi: np.ndarray, chi2: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Inverse-Wishart draws by the Bartlett construction from given variates.
-
-    ``chol_phi`` is the lower Cholesky factor C of the scale, shape (k, k)
-    or a stack (..., k, k); ``chi2`` (..., k) and ``normals``
-    (..., k(k-1)/2) are the variates of :func:`bartlett_inverses`.  Each
-    draw is C (A A^T)^-1 C^T, returned as a (..., k, k) stack.  A zero
-    chi-square variate raises :class:`NotSpdError`.
-    """
-    if not (chi2 > 0).all():
-        raise NotSpdError("inverse-Wishart draw produced a singular factor")
-    return invwishart_from_inverses(chol_phi, bartlett_inverses(chi2, normals))
-
-
 def sample_inverse_wishart(phi, nu: float, rng: RngStream) -> SpdMatrix:
     """Draw from the inverse Wishart with scale ``phi`` and ``nu`` degrees of freedom.
 
@@ -257,7 +242,7 @@ def sample_inverse_wishart(phi, nu: float, rng: RngStream) -> SpdMatrix:
     gen = rng.generator
     chi2 = gen.chisquare(nu - np.arange(k))
     normals = gen.standard_normal(k * (k - 1) // 2)
-    return SpdMatrix(invwishart_bartlett(spd.chol, chi2, normals))
+    return SpdMatrix(invwishart_from_inverses(spd.chol, bartlett_inverses(chi2, normals)))
 
 
 def _batched_chol(covs: np.ndarray) -> np.ndarray:

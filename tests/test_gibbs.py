@@ -191,6 +191,46 @@ class TestGibbsSpecific:
         with pytest.raises(NumericalError, match="sampler, chain 0: acceptance rate"):
             gibbs_specific(y, prior, QUICK)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_singular_bartlett_factor_raises_with_the_chain(self):
+        # the last chi-square variate has 1e-12 degrees of freedom and
+        # underflows to zero, so a proposal's Bartlett factor is singular
+        prior = replace(small_specific_prior(), cov_df=1.0 + 1e-12)
+        y = np.array([[0.3, -0.2]])
+        with pytest.raises(
+            NumericalError, match="^prosecution-side sampler, chain 0: .* not finite"
+        ):
+            gibbs_specific(y, prior, QUICK)
+
+    def test_non_finite_proposal_is_not_silently_rejected(self, monkeypatch):
+        # a NaN proposal has a NaN acceptance weight, which no uniform falls below
+        import specsource.gibbs as gibbs_module
+
+        original = gibbs_module.invwishart_from_inverses
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return original(*args)
+
+        y = np.random.default_rng(4).normal(size=(5, 2))
+        monkeypatch.setattr(gibbs_module, "invwishart_from_inverses", counted)
+        gibbs_specific(y, small_specific_prior(), QUICK)
+        first_of_chain_one = len(calls)
+
+        def corrupt(*args):
+            out = counted(*args)
+            if len(calls) == first_of_chain_one + 1:
+                out[3, 0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(gibbs_module, "invwishart_from_inverses", corrupt)
+        calls.clear()
+        with pytest.raises(
+            NumericalError, match="^prosecution-side sampler, chain 1: .* not finite"
+        ):
+            gibbs_specific(y, small_specific_prior(), replace(QUICK, chains=2))
+
     def test_cross_chain_consistency(self):
         y = np.random.default_rng(4).normal(size=(5, 2))
         settings = McmcSettings(iterations=6000, burn_in=1000, seed=17, chains=2)

@@ -12,7 +12,6 @@ from specsource.stats import (
     bartlett_inverses,
     compound_logpdf,
     forward_solve,
-    invwishart_bartlett,
     invwishart_from_inverses,
     log_mean_exp,
     mvn_logpdf,
@@ -142,7 +141,7 @@ def inverse_wishart_stack(phi, nu, stream, n):
     k = phi.dim
     chi2 = stream.generator.chisquare(nu - np.arange(k), size=(n, k))
     normals = stream.generator.standard_normal((n, k * (k - 1) // 2))
-    return invwishart_bartlett(phi.chol, chi2, normals)
+    return invwishart_from_inverses(phi.chol, bartlett_inverses(chi2, normals))
 
 
 class TestInverseWishart:
@@ -167,7 +166,8 @@ class TestInverseWishart:
             gen = RngStream(31, k).generator
             chi2 = gen.chisquare(nu - np.arange(k))
             normals = gen.standard_normal(k * (k - 1) // 2)
-            assert np.array_equal(got.values, invwishart_bartlett(phi.chol, chi2, normals))
+            want = invwishart_from_inverses(phi.chol, bartlett_inverses(chi2, normals))
+            assert np.array_equal(got.values, want)
 
     def test_univariate_mean(self):
         # IW(phi=2, nu=5) with k=1 has mean phi/(nu-k-1) = 2/3
@@ -205,13 +205,14 @@ class TestInverseWishart:
             a[:, rows, cols] = normals
             chol = random_spd(np_rng, k).chol
             want = chol @ np.linalg.inv(a @ a.swapaxes(1, 2)) @ chol.T
-            got = invwishart_bartlett(chol, chi2, normals)
+            got = invwishart_from_inverses(chol, bartlett_inverses(chi2, normals))
             scale = np.abs(want).max(axis=(1, 2))
             assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-10 * scale)
 
     def test_block_path_matches_the_bartlett_draw(self, np_rng):
         # the defense sweep inverts a (C, 16, 2, k, k) block of factors at once
-        # and draws one (2, C, k, k) covariance pair from each slice
+        # and draws one (2, C, k, k) covariance pair from each slice; the
+        # reference inverts each iteration's (2, C) factors on their own
         chains = 3
         for k in (1, 2, 3):
             chi2 = np_rng.chisquare(k + 4 - np.arange(k), size=(chains, 16, 2, k))
@@ -221,9 +222,8 @@ class TestInverseWishart:
             inv_t = np.ascontiguousarray(bartlett_inverses(chi2, normals).transpose(1, 2, 0, 3, 4))
             for j in range(16):
                 got = invwishart_from_inverses(chol, inv_t[j])
-                want = invwishart_bartlett(
-                    chol, chi2[:, j].swapaxes(0, 1), normals[:, j].swapaxes(0, 1)
-                )
+                inv_j = bartlett_inverses(chi2[:, j].swapaxes(0, 1), normals[:, j].swapaxes(0, 1))
+                want = invwishart_from_inverses(chol, inv_j)
                 scale = np.abs(want).max(axis=(-2, -1))
                 assert np.all(np.abs(got - want).max(axis=(-2, -1)) <= 1e-13 * scale)
 
@@ -234,8 +234,14 @@ class TestInverseWishart:
             inv_t = bartlett_inverses(chi2, normals)
         assert not np.isfinite(inv_t[0]).all()
         assert np.isfinite(inv_t[1]).all()
-        with pytest.raises(NotSpdError, match="singular factor"):
-            invwishart_bartlett(np.eye(2), chi2, normals)
+        # so is the draw made from it, which SpdMatrix (as sample_inverse_wishart
+        # builds it) rejects
+        with np.errstate(invalid="ignore"):
+            draws = invwishart_from_inverses(np.eye(2), inv_t)
+        assert not np.isfinite(draws[0]).all()
+        assert np.isfinite(draws[1]).all()
+        with pytest.raises(NotSpdError, match="non-finite"):
+            SpdMatrix(draws[0])
 
 
 class TestCompoundLogpdf:
