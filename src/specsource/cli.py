@@ -30,6 +30,7 @@ from .errors import (
 )
 from .evaluate import BayesFactorReport, evaluate_scenario
 from .evidence import (
+    Fragment,
     GroupedDataset,
     build_scenario,
     load_dataset,
@@ -45,7 +46,7 @@ from .gibbs import (
     read_draws,
     write_draws,
 )
-from .simulate import convergence_study, write_rows
+from .simulate import convergence_study, source_labels, write_rows
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -196,6 +197,9 @@ def _cmd_simulate(args) -> int:
     )
     if cfg.study is None:
         raise ConfigError("simulate needs a 'study' section")
+    priors = [s for s in ("specific_prior", "alternative_prior") if getattr(cfg, s) is not None]
+    if priors:
+        raise ConfigError(f"simulate ignores {' and '.join(priors)}: the study sets its own priors")
     out = cfg.output
     out.mkdir(parents=True, exist_ok=True)
 
@@ -205,11 +209,12 @@ def _cmd_simulate(args) -> int:
         datasets_dir.mkdir(exist_ok=True)
 
         def on_evidence(n, rep, evidence):
-            frags = (*evidence.e_u, *evidence.e_s, *evidence.e_a)
-            names = tuple(f"x{i + 1}" for i in range(evidence.dim))
+            controls, population, trace = evidence
+            groups = [("trace", trace), ("specific", controls), *zip(source_labels(n), population)]
+            frags = tuple(Fragment(sid, j + 1, y) for sid, ys in groups for j, y in enumerate(ys))
+            names = tuple(f"x{i + 1}" for i in range(trace.shape[1]))
             write_dataset(
-                GroupedDataset(frags, names),
-                datasets_dir / f"evidence_n{n}_rep{rep}.csv",
+                GroupedDataset(frags, names), datasets_dir / f"evidence_n{n}_rep{rep}.csv"
             )
 
     rows = convergence_study(

@@ -93,32 +93,32 @@ def _clamp_psd(scatter: np.ndarray, floor: float) -> tuple[np.ndarray, float, bo
 def plugin_estimates(groups, *, floor: float = EIGENVALUE_FLOOR) -> AltPlugInEstimate:
     """Moment estimators for a balanced grouped sample.
 
-    ``groups`` is a sequence of per-source (m, k) matrices, all with the
-    same m >= 2.  The between-source estimate subtracts the within share of
-    the group-mean scatter and can come out indefinite on tight data; any
-    eigenvalue below ``floor`` is clamped up and flagged.
+    ``groups`` is an (n, m, k) stack of per-source matrices, or a sequence
+    of n per-source (m, k) matrices, all with the same m >= 2.  The
+    between-source estimate subtracts the within share of the group-mean
+    scatter and can come out indefinite on tight data; any eigenvalue below
+    ``floor`` is clamped up and flagged.
     """
-    mats = [np.atleast_2d(np.asarray(g, dtype=float)) for g in groups]
-    n = len(mats)
+    n = len(groups)
     if n < 2:
         raise DataError(f"plug-in estimates need at least 2 sources, got {n}")
-    sizes = {g.shape[0] for g in mats}
-    if len(sizes) != 1:
-        raise DataError(
-            f"plug-in path requires balance; group sizes are {sorted(sizes)}"
-        )
-    m = sizes.pop()
+    if not isinstance(groups, np.ndarray):
+        mats = [np.atleast_2d(np.asarray(g, dtype=float)) for g in groups]
+        sizes = sorted({g.shape[0] for g in mats})
+        if len(sizes) > 1:
+            raise DataError(f"plug-in path requires balance; group sizes are {sizes}")
+        if len({g.shape[1] for g in mats}) > 1:
+            raise DataError("groups have inconsistent feature dimensions")
+        groups = mats
+    stack = np.asarray(groups, dtype=float)
+    m, k = stack.shape[1:]
     if m < 2:
         raise DataError("plug-in within-source scatter needs m >= 2 per source")
-    k = mats[0].shape[1]
-    if any(g.shape[1] != k for g in mats):
-        raise DataError("groups have inconsistent feature dimensions")
 
-    stacked = np.concatenate(mats, axis=0)
-    grand = stacked.mean(axis=0)
-    group_means = np.array([g.mean(axis=0) for g in mats])
+    grand = stack.reshape(n * m, k).mean(axis=0)
+    group_means = stack.mean(axis=1)
 
-    centered = stacked - np.repeat(group_means, m, axis=0)
+    centered = (stack - group_means[:, None]).reshape(n * m, k)
     within = centered.T @ centered / (n * (m - 1))
 
     mean_dev = group_means - grand

@@ -187,13 +187,6 @@ class EvidenceSet:
         object.__setattr__(self, "e_s", _sorted_fragments(self.e_s))
         object.__setattr__(self, "e_a", _sorted_fragments(self.e_a))
 
-    @property
-    def dim(self) -> int:
-        for comp in (self.e_u, self.e_s, self.e_a):
-            if comp:
-                return comp[0].features.size
-        raise DataError("evidence set is empty")
-
     def trace_matrix(self) -> np.ndarray:
         return _stack(self.e_u)
 

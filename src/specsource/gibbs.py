@@ -55,7 +55,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import ConfigError, DataError, DegenerateChainError, NotSpdError, NumericalError
 from .stats import (
@@ -613,6 +612,21 @@ def gibbs_alternative(
     :func:`sample_alternative` on job 0's streams.
     """
     return sample_alternative([groups], prior, settings, jobs=[0])[0]
+
+
+def next_fast_len(target: int) -> int:
+    """Smallest 11-smooth integer >= ``target``, the FFT length scipy.fft.next_fast_len picks.
+
+    Each odd 11-smooth number below the power of 2 that covers ``target``
+    is raised to ``target`` by its smallest sufficient power of 2.
+    """
+    bound = 1 << (target - 1).bit_length()
+    odd = [1]
+    for p in (3, 5, 7, 11):
+        for q in odd[:]:
+            while (q := q * p) < bound:
+                odd.append(q)
+    return min(q << (-(-target // q) - 1).bit_length() for q in odd)
 
 
 def effective_sample_size(chain) -> float:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, SpecSourceError
-from .evidence import EvidenceSet, Fragment
 # The study scores cells itself; evaluate_scenario stays importable here
 # because the benchmark's tracer (perfbench/tracing.py) wraps this name.
 from .evaluate import (  # noqa: F401
@@ -48,6 +47,7 @@ __all__ = [
     "default_study_design",
     "default_study_params",
     "simulate_evidence",
+    "source_labels",
     "write_rows",
 ]
 
@@ -126,40 +126,45 @@ def default_study_design() -> DesignSpec:
     )
 
 
+def source_labels(n: int) -> list[str]:
+    """Labels ``alt0001``, ``alt0002``, ... of ``n`` simulated sources, sorted as strings.
+
+    :func:`simulate_evidence` stacks the sources in this order, which is the
+    order they are generated in below 10,000 sources only.
+    """
+    return sorted(f"alt{i + 1:04d}" for i in range(n))
+
+
 def simulate_evidence(
     params: TrueParams, design: DesignSpec, rng: RngStream
-) -> EvidenceSet:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw one evidence triple; deterministic given the stream.
 
-    Draw order is fixed: control sample, then the population's source
-    effects, then its within-source noise source by source, then the trace
-    (fresh source effect first when generated from the alternative side).
+    Returns the controls, shape (n_specific, k), the alternative population,
+    shape (n_sources, fragments_per_source, k) with sources in the order of
+    :func:`source_labels`, and the trace, shape (n_trace, k).  Draw order is
+    fixed: control sample, then the population's source effects, then its
+    within-source noise source by source, then the trace (fresh source
+    effect first when generated from the alternative side).
     """
     k = params.dim
     zero = np.zeros(k)
+    n, m = design.n_sources, design.fragments_per_source
 
     controls = sample_mvn(params.mu_s, params.sigma_s, rng, size=design.n_specific)
-    e_s = tuple(
-        Fragment("specific", j + 1, controls[j]) for j in range(design.n_specific)
-    )
-
-    effects = sample_mvn(zero, params.sigma_b, rng, size=design.n_sources)
-    m = design.fragments_per_source
-    noise = sample_mvn(zero, params.sigma_w, rng, size=design.n_sources * m)
-    points = params.mu_a + np.repeat(effects, m, axis=0) + noise
-    e_a = tuple(
-        Fragment(f"alt{i // m + 1:04d}", i % m + 1, point) for i, point in enumerate(points)
-    )
+    effects = sample_mvn(zero, params.sigma_b, rng, size=n)
+    noise = sample_mvn(zero, params.sigma_w, rng, size=n * m)
+    population = (params.mu_a + np.repeat(effects, m, axis=0) + noise).reshape(n, m, k)
+    if n >= 10_000:
+        population = population[[int(label[3:]) - 1 for label in source_labels(n)]]
 
     if design.trace_model == TRACE_FROM_SPECIFIC:
-        trace_pts = sample_mvn(params.mu_s, params.sigma_s, rng, size=design.n_trace)
+        trace = sample_mvn(params.mu_s, params.sigma_s, rng, size=design.n_trace)
     else:
         fresh = sample_mvn(zero, params.sigma_b, rng)
         noise = sample_mvn(zero, params.sigma_w, rng, size=design.n_trace)
-        trace_pts = params.mu_a + fresh + noise
-    e_u = tuple(Fragment("trace", j + 1, trace_pts[j]) for j in range(design.n_trace))
-
-    return EvidenceSet(e_u=e_u, e_s=e_s, e_a=e_a)
+        trace = params.mu_a + fresh + noise
+    return controls, population, trace
 
 
 @dataclass(frozen=True)
@@ -210,8 +215,9 @@ def convergence_study(
     independent, a row does not depend on how many replicates run, and the
     whole table is reproducible from ``seed``.  Both samplers use the
     weak priors of ``_study_priors``.
-    ``on_evidence(n, replicate, evidence)`` is called per cell when given
-    (used by the CLI to optionally persist the simulated datasets).
+    ``on_evidence(n, replicate, evidence)`` is called per cell with the
+    triple :func:`simulate_evidence` returned, when given (used by the CLI
+    to optionally persist the simulated datasets).
     """
     grid = [int(n) for n in n_grid]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -233,14 +239,13 @@ def convergence_study(
                 evidence = simulate_evidence(params, cell_design, sim_rng)
                 if on_evidence is not None:
                     on_evidence(n, rep, evidence)
-                groups = np.array([g for _, g in evidence.alternative_groups()])
-                estimate = plugin_estimates(groups)
+                controls, population, trace = evidence
+                estimate = plugin_estimates(population)
             except SpecSourceError as exc:
                 raise type(exc)(f"{label}: {exc}") from exc
-            # keep the matrices only: a whole grid point's evidence sets are large
-            cells.append((evidence.specific_matrix(), evidence.trace_matrix(), groups, estimate))
+            cells.append((controls, trace, population, estimate))
         defense = sample_alternative(
-            [groups for _, _, groups, _ in cells],
+            [population for _, _, population, _ in cells],
             alternative_prior,
             settings,
             jobs=jobs,

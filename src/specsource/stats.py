@@ -16,7 +16,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import NotSpdError
 
@@ -178,7 +177,7 @@ def mvn_logpdf(x, mu, sigma) -> float | np.ndarray:
         raise ValueError(
             f"point dimension {pts.shape[1]} does not match covariance dimension {spd.dim}"
         )
-    z = solve_triangular(spd.chol, (pts - mu).T, lower=True)
+    z = np.linalg.solve(spd.chol, (pts - mu).T)
     quad = np.sum(z * z, axis=0)
     out = -0.5 * (spd.dim * LOG_2PI + spd.log_det + quad)
     return float(out[0]) if single else out
@@ -247,11 +246,16 @@ def sample_inverse_wishart(phi, nu: float, rng: RngStream) -> SpdMatrix:
 
 def _batched_chol(covs: np.ndarray) -> np.ndarray:
     try:
-        return np.linalg.cholesky(covs)
+        chol = np.linalg.cholesky(covs)
     except np.linalg.LinAlgError as exc:
         raise NotSpdError(
             "Cholesky factorization failed: covariance is not positive definite"
         ) from exc
+    # numpy gives a non-finite matrix NaN factors; finite factor entries are at
+    # most the square root of a finite float, so their sum cannot overflow
+    if not np.isfinite(chol.sum()):
+        raise NotSpdError("covariance stack has non-finite entries")
+    return chol
 
 
 def _log_det(lower: np.ndarray) -> np.ndarray:

@@ -1,11 +1,27 @@
 import pathlib
 import re
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from specsource.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
-from specsource.gibbs import McmcSettings, SpecificPrior, gibbs_specific, write_draws
-from specsource.stats import SpdMatrix
+from specsource.evidence import load_dataset
+from specsource.gibbs import (
+    PURPOSE_SIMULATION,
+    McmcSettings,
+    SpecificPrior,
+    gibbs_specific,
+    stream_id,
+    write_draws,
+)
+from specsource.simulate import (
+    default_study_design,
+    default_study_params,
+    simulate_evidence,
+    source_labels,
+)
+from specsource.stats import RngStream, SpdMatrix
 
 from test_gibbs import edit_first_row
 
@@ -139,6 +155,50 @@ mcmc:
             "evidence_n5_rep0.csv",
             "evidence_n5_rep1.csv",
         ]
+        # each file reloads to the arrays its cell simulated, bit for bit
+        for path in files:
+            n, rep = map(int, re.findall(r"\d+", path.name))
+            design = replace(default_study_design(), n_sources=n)
+            stream = RngStream(5, stream_id(PURPOSE_SIMULATION, [3, 5].index(n), rep))
+            controls, population, trace = simulate_evidence(
+                default_study_params(), design, stream
+            )
+            dataset = load_dataset(path)
+            groups = {
+                sid: np.array([f.features for f in dataset.group(sid)])
+                for sid in ("trace", "specific", *source_labels(n))
+            }
+            assert np.array_equal(groups.pop("trace"), trace)
+            assert np.array_equal(groups.pop("specific"), controls)
+            assert np.array_equal(np.array(list(groups.values())), population)
+
+    def test_prior_sections_exit_2(self, tmp_path, capsys):
+        cfg = self.write_study(tmp_path)
+        cfg.write_text(
+            cfg.read_text()
+            + "specific_prior:\n  mean: [5.0, 5.0]\n  mean_covariance: {diagonal: 100.0}\n"
+            + "  scale: {diagonal: 100.0}\n  df: 9.0\n"
+        )
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "specific_prior" in capsys.readouterr().err
+        assert not (tmp_path / "study_out").exists()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            "configs/study.yaml",
+            "perfbench/configs/study.yaml",
+            "perfbench/configs/calibration.yaml",
+        ],
+    )
+    def test_shipped_study_configs_are_accepted(self, config, tmp_path, monkeypatch):
+        import specsource.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "convergence_study", lambda *args, **kwargs: [])
+        out = tmp_path / "out"
+        args = ["simulate", "--config", str(REPO_ROOT / config), "--out", str(out)]
+        assert main(args) == EXIT_OK
+        assert (out / "convergence.csv").read_text() == "n,replicate,log_v_full,log_v_plugin,gap\n"
 
     def test_descending_grid_exits_2(self, tmp_path):
         cfg = self.write_study(tmp_path, grid="[5, 3]")

@@ -143,6 +143,21 @@ class TestPluginEstimates:
         with pytest.raises(DataError, match="m >= 2"):
             plugin_estimates([np.zeros((1, 2)), np.zeros((1, 2))])
 
+    def test_stack_and_list_of_groups_agree_bit_for_bit(self, np_rng):
+        for n, m, k in ((2, 2, 1), (250, 5, 2), (14, 5, 3), (30, 17, 4)):
+            stack = np_rng.normal(size=(n, m, k))
+            a = plugin_estimates(stack)
+            b = plugin_estimates(list(stack))
+            # the per-group loop the stacked means replace
+            group_means = np.array([g.mean(axis=0) for g in stack])
+            rows = np.concatenate(list(stack))
+            centered = rows - np.repeat(group_means, m, axis=0)
+            within = centered.T @ centered / (n * (m - 1))
+            for est in (a, b):
+                assert np.array_equal(est.mean, rows.mean(axis=0))
+                assert np.array_equal(est.within.values, 0.5 * (within + within.T))
+            assert np.array_equal(a.between.values, b.between.values)
+
     def test_relabeling_invariance(self, np_rng):
         groups = [np_rng.normal(size=(3, 2)) for _ in range(5)]
         a = plugin_estimates(groups)

@@ -16,6 +16,7 @@ from specsource.gibbs import (
     effective_sample_size,
     gibbs_alternative,
     gibbs_specific,
+    next_fast_len,
     read_draws,
     sample_alternative,
     write_draws,
@@ -462,6 +463,12 @@ class TestEffectiveSampleSize:
     def test_short_chain_rejected(self):
         with pytest.raises(ValueError):
             effective_sample_size(np.arange(5.0))
+
+    def test_fft_length_matches_scipy(self):
+        from scipy.fft import next_fast_len as scipy_next_fast_len
+
+        targets = [*range(1, 4097), *range(4097, 130_001, 61), 2 * 29_000, 2 * 30_000]
+        assert [next_fast_len(t) for t in targets] == [scipy_next_fast_len(t) for t in targets]
 
     def test_bounds(self):
         # antithetic-ish chain: ESS is clipped at n

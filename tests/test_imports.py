@@ -7,10 +7,14 @@ as ``__version__`` are public.
 The package uses numpy and scipy through their public API only: no private
 module or name of either, whether imported or reached as an attribute.
 Their private gufuncs skip the failure checks the public wrappers make.
+Only tests and the benchmark need scipy; the command line runs without it.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "specsource"
 LIBRARIES = ("numpy", "scipy")
@@ -104,3 +108,15 @@ def test_library_rule_flags_private_modules_and_allows_dunder():
 
 def test_no_private_numpy_or_scipy_use():
     assert package_offenders(private_library_uses) == []
+
+
+def test_cli_import_leaves_scipy_out():
+    probe = "import sys, specsource.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert done.stdout.strip() == "[]"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specsource.errors import ConfigError, NumericalError
-from specsource.evidence import validate_evidence
+from specsource.evidence import EvidenceSet, Fragment
 from specsource.gibbs import McmcSettings
 from specsource.simulate import (
     TRACE_FROM_ALTERNATIVE,
@@ -14,9 +14,10 @@ from specsource.simulate import (
     default_study_design,
     default_study_params,
     simulate_evidence,
+    source_labels,
     write_rows,
 )
-from specsource.stats import RngStream, SpdMatrix
+from specsource.stats import RngStream, SpdMatrix, sample_mvn
 from specsource.evaluate import plugin_estimates
 
 TINY_MCMC = McmcSettings(iterations=400, burn_in=100, seed=3)
@@ -25,29 +26,60 @@ TINY_MCMC = McmcSettings(iterations=400, burn_in=100, seed=3)
 class TestSimulateEvidence:
     def test_component_sizes_match_design(self):
         design = DesignSpec(14, 5, 3, 2)
-        ev = simulate_evidence(default_study_params(), design, RngStream(1, 0))
-        assert len(ev.e_s) == 3
-        assert len(ev.e_u) == 2
-        assert len(ev.e_a) == 70
-        assert ev.alternative_source_count() == 14
-        assert validate_evidence(ev).ok
+        controls, population, trace = simulate_evidence(
+            default_study_params(), design, RngStream(1, 0)
+        )
+        assert controls.shape == (3, 2)
+        assert trace.shape == (2, 2)
+        assert population.shape == (14, 5, 2)
+        assert all(np.isfinite(a).all() for a in (controls, population, trace))
 
     def test_deterministic_given_stream(self):
         design = default_study_design()
         params = default_study_params()
         a = simulate_evidence(params, design, RngStream(9, 4))
         b = simulate_evidence(params, design, RngStream(9, 4))
-        assert np.array_equal(a.trace_matrix(), b.trace_matrix())
-        assert np.array_equal(a.specific_matrix(), b.specific_matrix())
-        for (_, ga), (_, gb) in zip(a.alternative_groups(), b.alternative_groups()):
-            assert np.array_equal(ga, gb)
+        for xa, xb in zip(a, b):
+            assert np.array_equal(xa, xb)
+
+    @pytest.mark.parametrize("n", [14, 10_001])
+    def test_sources_stack_in_string_order_of_their_labels(self, n):
+        # From 10,000 sources on, string order of alt0001, ..., alt10001 is
+        # not generation order; the stack keeps the order an EvidenceSet of
+        # the same draws gives its alternative groups.
+        assert source_labels(10_001)[999:1003] == ["alt1000", "alt10000", "alt10001", "alt1001"]
+        params = default_study_params()
+        m = 2
+        controls, population, trace = simulate_evidence(
+            params, DesignSpec(n, m, 3, 2), RngStream(4, 2)
+        )
+
+        rng = RngStream(4, 2)
+        zero = np.zeros(2)
+        expected_controls = sample_mvn(params.mu_s, params.sigma_s, rng, size=3)
+        effects = sample_mvn(zero, params.sigma_b, rng, size=n)
+        noise = sample_mvn(zero, params.sigma_w, rng, size=n * m)
+        points = params.mu_a + np.repeat(effects, m, axis=0) + noise
+        expected_trace = sample_mvn(params.mu_s, params.sigma_s, rng, size=2)
+        evidence = EvidenceSet(
+            e_u=(),
+            e_s=(),
+            e_a=tuple(
+                Fragment(f"alt{i // m + 1:04d}", i % m + 1, y) for i, y in enumerate(points)
+            ),
+        )
+        labels, groups = zip(*evidence.alternative_groups())
+        assert list(labels) == source_labels(n)
+        assert np.array_equal(population, np.array(groups))
+        assert np.array_equal(controls, expected_controls)
+        assert np.array_equal(trace, expected_trace)
 
     def test_estimator_consistency_on_large_population(self):
         params = default_study_params()
         n, m = 500, 5
         design = DesignSpec(n, m, 3, 2)
-        ev = simulate_evidence(params, design, RngStream(2, 1))
-        est = plugin_estimates([g for _, g in ev.alternative_groups()])
+        _, population, _ = simulate_evidence(params, design, RngStream(2, 1))
+        est = plugin_estimates(population)
         # grand mean: 3x its CLT standard error sqrt((s_b + s_w/m)/n)
         mean_se = np.sqrt(
             np.diag(params.sigma_b.values + params.sigma_w.values / m) / n
@@ -68,8 +100,8 @@ class TestSimulateEvidence:
             sigma_w=SpdMatrix(0.25 * np.eye(2)),
         )
         design = DesignSpec(500, 5, 3, 2)
-        ev = simulate_evidence(params, design, RngStream(0, 13))
-        means = np.array([g.mean(axis=0) for _, g in ev.alternative_groups()])
+        _, population, _ = simulate_evidence(params, design, RngStream(0, 13))
+        means = population.mean(axis=1)
         sample_cov = np.cov(means.T)
         target = params.sigma_b.values + params.sigma_w.values / 5
         assert np.max(np.abs(sample_cov - target)) < 0.10 * np.max(np.abs(target))
@@ -77,8 +109,7 @@ class TestSimulateEvidence:
     def test_alternative_trace_shares_one_fresh_source(self):
         params = default_study_params()
         design = DesignSpec(4, 3, 2, 50, trace_model=TRACE_FROM_ALTERNATIVE)
-        ev = simulate_evidence(params, design, RngStream(17, 0))
-        trace = ev.trace_matrix()
+        _, _, trace = simulate_evidence(params, design, RngStream(17, 0))
         # all trace fragments share one source effect: their mean scatters
         # around mu_a + a* with small within-noise, not the between scale
         spread = trace.std(axis=0)

@@ -335,6 +335,15 @@ class TestSpdStack:
         with pytest.raises(ValueError, match="stack"):
             SpdStack(np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_non_finite_entry(self, bad):
+        stack = np.stack([np.eye(2), np.eye(2)])
+        stack[1, 0, 0] = bad
+        with pytest.raises(NotSpdError, match="non-finite"):
+            SpdStack(stack)
+        with pytest.raises(NotSpdError):
+            compound_logpdf(np.zeros((2, 2)), np.zeros((2, 2)), None, stack)
+
 
 class TestLogMeanExp:
     def test_constant_zero(self):
