@@ -615,18 +615,16 @@ def gibbs_alternative(
 
 
 def next_fast_len(target: int) -> int:
-    """Smallest 11-smooth integer >= ``target``, the FFT length scipy.fft.next_fast_len picks.
-
-    Each odd 11-smooth number below the power of 2 that covers ``target``
-    is raised to ``target`` by its smallest sufficient power of 2.
-    """
-    bound = 1 << (target - 1).bit_length()
-    odd = [1]
-    for p in (3, 5, 7, 11):
-        for q in odd[:]:
-            while (q := q * p) < bound:
-                odd.append(q)
-    return min(q << (-(-target // q) - 1).bit_length() for q in odd)
+    """Smallest 11-smooth integer >= ``target``, the FFT length scipy.fft.next_fast_len picks."""
+    n = max(target, 1)
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
 
 
 def effective_sample_size(chain) -> float:
